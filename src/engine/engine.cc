@@ -29,17 +29,25 @@ Result<std::unique_ptr<AuthoritativeServer>> AuthoritativeServer::Create(
                                   &server->memory_);
   server->decoder_ =
       std::make_unique<ResponseDecoder>(server->engine_->types(), server->interner_);
+  // The zone arguments never change for a loaded zone; each query only
+  // overwrites the qname and qtype slots (see Query / QuerySpec).
+  const HeapImage& image = server->image_;
+  server->resolve_args_ = {image.apex_ptr, image.origin_labels, Value::List(), Value::Int(0)};
+  server->spec_args_ = {image.zone_rrs, image.origin_labels, Value::List(), Value::Int(0)};
   return server;
 }
 
-QueryResult AuthoritativeServer::RunLookup(const Function& fn, std::vector<Value> args) {
+QueryResult AuthoritativeServer::RunLookup(const Function& fn, std::vector<Value>* args,
+                                           const DnsName& qname, RrType qtype) {
+  (*args)[kQnameArg] = QnameValue(qname, &interner_);
+  (*args)[kQtypeArg].i = static_cast<int64_t>(qtype);
   // Blocks allocated past this point are query-scoped: a resolve run is a
   // pure lookup over the zone image (it never stores into zone blocks), so
   // after the response is decoded into plain RrViews nothing references
   // them. Reclaiming here keeps a long-lived shard's heap flat instead of
   // growing per query until the serving shell's hygiene rebuild.
   const size_t watermark = memory_.num_blocks();
-  ExecOutcome outcome = backend_->Run(fn, args, &memory_);
+  ExecOutcome outcome = backend_->Run(fn, *args, &memory_);
   QueryResult result;
   if (!outcome.ok()) {
     result.panicked = true;
@@ -55,15 +63,11 @@ QueryResult AuthoritativeServer::RunLookup(const Function& fn, std::vector<Value
 }
 
 QueryResult AuthoritativeServer::Query(const DnsName& qname, RrType qtype) {
-  return RunLookup(engine_->resolve_fn(),
-                   {image_.apex_ptr, image_.origin_labels, QnameValue(qname, &interner_),
-                    Value::Int(static_cast<int64_t>(qtype))});
+  return RunLookup(engine_->resolve_fn(), &resolve_args_, qname, qtype);
 }
 
 QueryResult AuthoritativeServer::QuerySpec(const DnsName& qname, RrType qtype) {
-  return RunLookup(engine_->rrlookup_fn(),
-                   {image_.zone_rrs, image_.origin_labels, QnameValue(qname, &interner_),
-                    Value::Int(static_cast<int64_t>(qtype))});
+  return RunLookup(engine_->rrlookup_fn(), &spec_args_, qname, qtype);
 }
 
 }  // namespace dnsv

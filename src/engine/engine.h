@@ -103,7 +103,15 @@ class AuthoritativeServer {
 
  private:
   AuthoritativeServer() = default;
-  QueryResult RunLookup(const Function& fn, std::vector<Value> args);
+  // Fills the qname/qtype slots of `args` (resolve_args_ or spec_args_) and
+  // runs `fn` over them.
+  QueryResult RunLookup(const Function& fn, std::vector<Value>* args, const DnsName& qname,
+                        RrType qtype);
+
+  // Argument positions shared by resolve and rrlookup: (zone, origin, qname,
+  // qtype).
+  static constexpr size_t kQnameArg = 2;
+  static constexpr size_t kQtypeArg = 3;
 
   std::shared_ptr<const CompiledEngine> engine_;
   BackendKind backend_kind_ = BackendKind::kInterp;
@@ -114,6 +122,10 @@ class AuthoritativeServer {
   HeapImage image_;
   // Field layouts resolved once at Create; decoding runs once per query.
   std::unique_ptr<ResponseDecoder> decoder_;
+  // Per-shard argument vectors built once at Create, so a query copies
+  // neither the apex pointer nor the origin label list.
+  std::vector<Value> resolve_args_;
+  std::vector<Value> spec_args_;
 };
 
 }  // namespace dnsv

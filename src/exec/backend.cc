@@ -72,9 +72,8 @@ class CompiledBackend final : public ExecutionBackend {
   ExecOutcome Run(const Function& function, const std::vector<Value>& args,
                   ConcreteMemory* memory) override {
     ExecOutcome outcome;
-    auto it = entries_.find(function.name());
-    if (it == entries_.end() ||
-        it->second->arity != static_cast<int>(args.size())) {
+    const execgen::GenFnEntry* entry = Lookup(function);
+    if (entry == nullptr || entry->arity != static_cast<int>(args.size())) {
       // A function the generated module does not know (or knows with a
       // different arity) means the caller is driving the wrong engine
       // version's backend — surface it as a panic, like the interpreter
@@ -88,7 +87,7 @@ class CompiledBackend final : public ExecutionBackend {
     execgen::GenCtx ctx;
     ctx.memory = memory;
     Value ret;
-    if (!it->second->invoke(ctx, args, &ret)) {
+    if (!entry->invoke(ctx, args, &ret)) {
       outcome.kind = ExecOutcome::Kind::kPanicked;
       outcome.panic_message = std::move(ctx.panic);
       return outcome;
@@ -99,8 +98,23 @@ class CompiledBackend final : public ExecutionBackend {
   }
 
  private:
+  // A shard drives the same one or two functions on every query, so the
+  // last lookup is remembered by Function identity; the name check keeps a
+  // recycled Function address from reusing a stale entry.
+  const execgen::GenFnEntry* Lookup(const Function& function) {
+    if (&function != last_fn_ || last_entry_ == nullptr ||
+        function.name() != last_entry_->name) {
+      auto it = entries_.find(function.name());
+      last_fn_ = &function;
+      last_entry_ = it == entries_.end() ? nullptr : it->second;
+    }
+    return last_entry_;
+  }
+
   const execgen::GenModule* gen_;
   std::unordered_map<std::string, const execgen::GenFnEntry*> entries_;
+  const Function* last_fn_ = nullptr;
+  const execgen::GenFnEntry* last_entry_ = nullptr;
 };
 
 }  // namespace

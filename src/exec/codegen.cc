@@ -1,7 +1,9 @@
 #include "src/exec/codegen.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -121,12 +123,103 @@ std::string ZeroExpr(const TypeTable& types, Type type) {
   return "Value::Unit()";
 }
 
+bool IsScalarType(const TypeTable& types, Type type) {
+  TypeKind kind = types.kind(type);
+  return kind == TypeKind::kInt || kind == TypeKind::kBool;
+}
+
+// The longest index path a well-typed pointer into this module's memory can
+// carry: the deepest chain of struct-field / list-element steps inside one
+// value of any type the module mentions. A path never crosses a pointer, so
+// pointers end a chain. Returns 0 when some struct holds itself by value
+// (through a list), which leaves paths unbounded; the emitter then keeps
+// every gep result a Value.
+size_t MaxPathDepth(const Module& module) {
+  const TypeTable& types = module.types();
+  std::vector<Type> worklist;
+  std::unordered_set<uint32_t> seen;
+  auto add = [&](Type t) {
+    if (t.valid() && seen.insert(t.id()).second) {
+      worklist.push_back(t);
+    }
+  };
+  for (const auto& fn : module.functions()) {
+    add(fn->return_type());
+    for (const Param& param : fn->params()) {
+      add(param.type);
+    }
+    for (uint32_t i = 0; i < fn->num_instrs(); ++i) {
+      const Instr& instr = fn->instr(i);
+      add(instr.result_type);
+      add(instr.alloc_type);
+      for (const Operand& op : instr.operands) {
+        add(op.type);
+      }
+    }
+  }
+  for (size_t w = 0; w < worklist.size(); ++w) {  // close over component types
+    Type t = worklist[w];
+    switch (types.kind(t)) {
+      case TypeKind::kPtr: add(types.Pointee(t)); break;
+      case TypeKind::kList: add(types.ListElement(t)); break;
+      case TypeKind::kStruct:
+        if (types.IsStructDefined(types.node(t).struct_name)) {
+          for (const StructField& field : types.GetStruct(t).fields) {
+            add(field.type);
+          }
+        }
+        break;
+      default: break;
+    }
+  }
+  constexpr int kUnbounded = -1;
+  std::unordered_map<uint32_t, int> memo;  // kUnbounded while on the DFS stack
+  std::function<int(Type)> depth = [&](Type t) -> int {
+    switch (types.kind(t)) {
+      case TypeKind::kList: {
+        int inner = depth(types.ListElement(t));
+        return inner == kUnbounded ? kUnbounded : inner + 1;
+      }
+      case TypeKind::kStruct: {
+        auto it = memo.find(t.id());
+        if (it != memo.end()) {
+          return it->second;
+        }
+        memo[t.id()] = kUnbounded;
+        int deepest = 0;
+        if (types.IsStructDefined(types.node(t).struct_name)) {
+          for (const StructField& field : types.GetStruct(t).fields) {
+            int inner = depth(field.type);
+            if (inner == kUnbounded) {
+              return kUnbounded;
+            }
+            deepest = std::max(deepest, inner);
+          }
+        }
+        memo[t.id()] = deepest + 1;
+        return deepest + 1;
+      }
+      default:
+        return 0;
+    }
+  };
+  int deepest = 0;
+  for (Type t : worklist) {
+    int d = depth(t);
+    if (d == kUnbounded) {
+      return 0;
+    }
+    deepest = std::max(deepest, d);
+  }
+  return static_cast<size_t>(std::max(deepest, 1));
+}
+
 // Emits the body of one AbsIR function as goto-threaded C++. The lowering is
 // a statement-for-statement transliteration of Interpreter::RunFrame; any
 // behavioral difference between the two is a bug the backend differential
 // (src/fuzz) is designed to catch.
 //
-// Eight wire-behavior-preserving optimizations make the generated code much
+// Eleven wire-behavior-preserving optimizations make the generated code much
 // faster than re-tracing the interpreter's exact memory traffic
 // (docs/BACKEND.md §performance):
 //
@@ -139,11 +232,17 @@ std::string ZeroExpr(const TypeTable& types, Type type) {
 //     the compiled backend's heap grows slower; block NUMBERING also
 //     diverges, but block ids never reach wire output and kPtrEq only needs
 //     distinctness, which renumbering preserves.
-//   * Load forwarding: a run of single-use loads from promoted slots
-//     consumed by the instruction immediately after the run reads the slots
-//     in place instead of deep-copying each cell into a register. Only other
-//     loads sit between the forwarded read and its original position, so the
-//     observed values are identical.
+//   * Load forwarding: a single-use load from a promoted slot is not
+//     emitted; its consumer reads the slot in place instead of a deep copy.
+//     The consumer must follow the load in the same block or in a chain of
+//     blocks each entered only from the previous one — by an unconditional
+//     jump, or by a branch whose other target is a block that only panics —
+//     so every execution of the consumer is preceded by the load with
+//     nothing else in between (an execution that takes the panic edge ends
+//     the frame and never reads the copy). Only a store to the slot (or an
+//     in-place append/set fused onto it) changes a promoted cell — its
+//     address never escapes the frame — so when neither sits on that chain,
+//     the slot read at the consumer equals the value the interpreter copied.
 //   * Append/set fusion: the load/kListAppend/kStore (and kListSet) triple
 //     the frontend emits for `xs = append(xs, v)` mutates the promoted slot
 //     in place — O(1) instead of copying the list twice per append. Fusion
@@ -157,11 +256,12 @@ std::string ZeroExpr(const TypeTable& types, Type type) {
 //     nothing between the pointer's birth and its only use can allocate or
 //     mutate, so the pointer cannot dangle and the values read are the ones
 //     the interpreter's copies would have held.
-//   * Last-use moves: an operand register whose structural single def and
-//     single use sit in the same basic block is dead after that use, so
-//     sinks (kStore, kRet, list ops, fused appends) take it by std::move —
-//     turning vector<Value> deep copies into pointer swaps. kRet may move
-//     any non-param register: the frame is gone after the return.
+//   * Last-use moves: an operand register whose single use the forwarding
+//     walk reaches from its single def is dead after that use (every
+//     execution of the use follows a fresh def), so sinks (kStore, kRet,
+//     list ops, fused appends) take it by std::move — turning
+//     vector<Value> deep copies into pointer swaps. kRet may move any
+//     non-param register: the frame is gone after the return.
 //   * Parameter copy elision: the frontend's prologue stores every
 //     parameter into an alloca slot. When that promoted slot has no OTHER
 //     store anywhere in the function, it holds exactly the parameter for
@@ -171,14 +271,12 @@ std::string ZeroExpr(const TypeTable& types, Type type) {
 //     and every load of the slot vanish; uses read `pK` directly. kRet
 //     routes such registers through a temporary exactly like a raw
 //     parameter, since `*ret` may alias the caller's value.
-//   * Cross-call load forwarding (interprocedural): a pending forwardable
-//     load stays live across a call whose summary (src/analysis/summary.h)
-//     proves the callee pure — a pure callee writes no caller-reachable
-//     memory, so no promoted slot changes while it runs and the slot read
-//     at the consumer equals the value the interpreter copied at the
-//     original load position. Promoted slot addresses never escape the
-//     frame, so purity is already stronger than required; demanding an
-//     analyzed summary keeps the justification a checked module-wide fact.
+//   * Cross-call load forwarding (interprocedural): a forwarded load may
+//     cross a call on its way to the consumer only when the callee summary
+//     (src/analysis/summary.h) proves it pure. Promoted slot addresses never
+//     escape the frame, so no callee can write one and purity is stronger
+//     than required; demanding an analyzed summary keeps the justification
+//     a checked module-wide fact.
 //   * Heap-allocation stack promotion (interprocedural): a kNewObject the
 //     module-wide escape analysis (src/analysis/escape.h) proves
 //     query-local — never stored into another object, never returned,
@@ -187,21 +285,59 @@ std::string ZeroExpr(const TypeTable& types, Type type) {
 //     promoted alloca. Heap numbering diverges from the interpreter's the
 //     same way alloca promotion makes it diverge, and is unobservable for
 //     the same reason: the pointer never reaches kPtrEq or the wire.
+//   * Typed scalars: every register, promoted slot, parameter and return of
+//     AbsIR type int or bool is a plain `int64_t` instead of a boxed Value.
+//     The validator types every instruction, and the interpreter only ever
+//     builds an int-typed value with Value::Int and a bool-typed one with
+//     Value::Bool (arithmetic, comparisons, zero values, and loads of cells
+//     that were themselves stored from typed values), so the payload `.i`
+//     carries all the information the kind tag would. Scalars are boxed
+//     back — Value::Int for int, Value::Bool for bool, so the kind matches
+//     the interpreter's — only where a Value is required: a store into
+//     ConcreteMemory, a list append/set, and the dispatch-table wrappers
+//     that return to or take arguments from the host. Scalar loads, field
+//     and element reads take `.i` in place; pointer compares against the
+//     null literal test the block and path directly, with no NullPtr
+//     temporary. Every check (null, resolve, bounds, divide-by-zero) keeps
+//     its program point and message.
+//   * Inline GEP paths: a kGep whose result is used only as the address of a
+//     kLoad, a kStore or another kGep never becomes a Value; it is a GenPtr
+//     (gen_support.h) holding the block and the index path inline, sized
+//     from the module's deepest type nesting (MaxPathDepth), so building it
+//     allocates nothing. Load/store resolve it through the same
+//     ConcreteMemory::Resolve walk. The gep's own null check on its base is
+//     unchanged; a GenPtr is the result of such a check, so the null checks
+//     a load/store/gep would repeat on it can never fire and are dropped. A
+//     gep whose pointer escapes (call argument, kPtrEq, stored, returned)
+//     stays a Value, built from a GenPtr base when it has one.
+//   * In-place cell appends: `p.xs = append(p.xs, v)` on a heap cell
+//     lowers to load A; rX = append rL, v; store A', rX. When rL and rX are
+//     single-use, A and A' are the same frame-invariant pointer (a
+//     parameter, or geps with equal constant indices over one), and the
+//     walk from the load to the append (the forwarding walk above) crosses
+//     no store to memory and no call not proven pure, the cell still holds
+//     exactly rL when the append runs, so growing it in place stores the
+//     value the interpreter would. The load keeps its null and resolve
+//     checks but copies nothing; the append re-resolves A' (never holding a
+//     pointer across an Alloc) with the store's checks, which are the next
+//     checks the interpreter would run — the append itself cannot panic.
 class FunctionEmitter {
  public:
   FunctionEmitter(const Module& module, const Function& fn, const SymbolTable& symbols,
                   const InterprocContext& interproc, const EscapeResult& escapes,
-                  std::ostream& out)
+                  size_t ptr_capacity, std::ostream& out)
       : module_(module),
+        types_(module.types()),
         fn_(fn),
         symbols_(symbols),
         interproc_(interproc),
         escapes_(escapes),
+        ptr_capacity_(ptr_capacity),
         out_(out) {}
 
   void Emit() {
     Analyze();
-    out_ << Signature(symbols_.Symbol(fn_.name()), fn_) << " {\n";
+    out_ << Signature(types_, symbols_.Symbol(fn_.name()), fn_) << " {\n";
     // Depth accounting: the interpreter's entry frame runs at depth 0 and a
     // callee at depth d panics when d > kMaxCallDepth; here the entry frame
     // counts as 1 live frame, so the same query panics at the same call site
@@ -214,14 +350,22 @@ class FunctionEmitter {
     for (uint32_t i = 0; i < fn_.num_instrs(); ++i) {
       const Instr& instr = fn_.instr(i);
       if ((instr.op == Opcode::kAlloca || instr.op == Opcode::kNewObject) && promoted_[i]) {
-        if (slot_param_alias_[i] < 0) {
-          out_ << "  Value a" << i << ";\n";  // the promoted cell itself
-        }
         // A param-aliased slot has no storage at all: uses read pK.
+        if (slot_param_alias_[i] < 0) {
+          bool scalar = IsScalarType(types_, instr.alloc_type);
+          out_ << (scalar ? "  int64_t a" : "  Value a") << i << (scalar ? " = 0;\n" : ";\n");
+          scalar_locals_ += scalar ? 1 : 0;
+        }
       } else if (projectable_[i]) {
         out_ << "  const Value* q" << i << " = nullptr;\n";  // projection, not a copy
-      } else if (instr.ProducesValue() && param_load_[i] < 0) {
-        out_ << "  Value r" << i << ";\n";
+      } else if (gen_ptr_[i]) {
+        out_ << "  GenPtr<" << ptr_capacity_ << "> r" << i << ";\n";
+        ++inline_geps_;
+      } else if (instr.ProducesValue() && param_load_[i] < 0 && !forward_[i] &&
+                 !cell_load_[i] && !cell_append_[i]) {
+        bool scalar = IsScalarType(types_, instr.result_type);
+        out_ << (scalar ? "  int64_t r" : "  Value r") << i << (scalar ? " = 0;\n" : ";\n");
+        scalar_locals_ += scalar ? 1 : 0;
       }
     }
     for (BlockId b = 0; b < fn_.num_blocks(); ++b) {
@@ -231,30 +375,51 @@ class FunctionEmitter {
     out_ << "}\n";
   }
 
-  static std::string Signature(const std::string& symbol, const Function& fn) {
+  // Scalar parameters and returns travel as int64_t; everything else as a
+  // Value (const reference in, out-pointer for the result).
+  static std::string Signature(const TypeTable& types, const std::string& symbol,
+                               const Function& fn) {
     std::string out = StrCat("bool ", symbol, "(GenCtx& ctx");
     for (size_t i = 0; i < fn.params().size(); ++i) {
-      out += StrCat(", const Value& p", i);
+      out += StrCat(IsScalarType(types, fn.params()[i].type) ? ", int64_t p" : ", const Value& p",
+                    i);
     }
-    out += ", Value* ret)";
+    out += IsScalarType(types, fn.return_type()) ? ", int64_t* ret)" : ", Value* ret)";
     return out;
   }
 
  private:
-  // Per-function dataflow facts backing the three optimizations. Result
-  // registers are instruction indices, so "defined once" is structural; the
-  // only analysis needed is use counting and the alloca escape check.
+  // Per-function dataflow facts backing the optimizations. Result registers
+  // are instruction indices, so "defined once" is structural; the analyses
+  // are use counting, the alloca escape check, the gep address-use check,
+  // and the forwarding walk.
   void Analyze() {
     use_count_.assign(fn_.num_instrs(), 0);
     single_user_.assign(fn_.num_instrs(), 0);
     promoted_.assign(fn_.num_instrs(), false);
+    gen_ptr_.assign(fn_.num_instrs(), false);
+    block_of_.assign(fn_.num_instrs(), fn_.entry());
+    for (BlockId b = 0; b < fn_.num_blocks(); ++b) {
+      for (uint32_t index : fn_.block(b).instrs) {
+        block_of_[index] = b;
+      }
+    }
+    std::vector<bool> gep_escapes(fn_.num_instrs(), false);
     for (uint32_t j = 0; j < fn_.num_instrs(); ++j) {
-      for (const Operand& op : fn_.instr(j).operands) {
+      const Instr& user = fn_.instr(j);
+      for (size_t k = 0; k < user.operands.size(); ++k) {
+        const Operand& op = user.operands[k];
         if (op.kind == Operand::Kind::kReg && !Function::IsParamReg(op.reg)) {
           use_count_[op.reg]++;
           single_user_[op.reg] = j;
+          bool address_use = k == 0 && (user.op == Opcode::kLoad || user.op == Opcode::kStore ||
+                                        user.op == Opcode::kGep);
+          gep_escapes[op.reg] = gep_escapes[op.reg] || !address_use;
         }
       }
+    }
+    for (uint32_t i = 0; i < fn_.num_instrs(); ++i) {
+      gen_ptr_[i] = ptr_capacity_ > 0 && fn_.instr(i).op == Opcode::kGep && !gep_escapes[i];
     }
     for (uint32_t i = 0; i < fn_.num_instrs(); ++i) {
       const Instr& site = fn_.instr(i);
@@ -342,6 +507,91 @@ class FunctionEmitter {
         param_load_[j] = slot_param_alias_[user.operands[0].reg];
       }
     }
+    // Load forwarding (see the class comment). The entry block counts one
+    // extra predecessor: the function's own entry edge.
+    preds_.assign(fn_.num_blocks(), 0);
+    preds_[fn_.entry()] = 1;
+    for (BlockId b = 0; b < fn_.num_blocks(); ++b) {
+      const Instr& term = fn_.instr(fn_.block(b).instrs.back());
+      if (term.op == Opcode::kBr || term.op == Opcode::kJmp) {
+        preds_[term.target_true]++;
+      }
+      if (term.op == Opcode::kBr) {
+        preds_[term.target_false]++;
+      }
+    }
+    forward_.assign(fn_.num_instrs(), false);
+    for (BlockId b = 0; b < fn_.num_blocks(); ++b) {
+      const std::vector<uint32_t>& instrs = fn_.block(b).instrs;
+      for (size_t t = 0; t < instrs.size(); ++t) {
+        if (!IsForwardableLoad(instrs[t])) {
+          continue;
+        }
+        const uint32_t slot = SlotOf(instrs[t]);
+        int crossed_calls = 0;
+        if (ReachesUser(b, t, single_user_[instrs[t]], [&](uint32_t index) {
+              return MayWriteSlot(fn_.instr(index), slot) || StopsAtCall(index, &crossed_calls);
+            })) {
+          forward_[instrs[t]] = true;
+          cross_call_forwards_ += crossed_calls;
+        }
+      }
+    }
+    // Last-use moves (see the class comment).
+    dead_after_use_.assign(fn_.num_instrs(), false);
+    for (BlockId b = 0; b < fn_.num_blocks(); ++b) {
+      const std::vector<uint32_t>& instrs = fn_.block(b).instrs;
+      for (size_t t = 0; t < instrs.size(); ++t) {
+        if (use_count_[instrs[t]] == 1) {
+          dead_after_use_[instrs[t]] =
+              ReachesUser(b, t, single_user_[instrs[t]], [](uint32_t) { return false; });
+        }
+      }
+    }
+    // In-place cell appends (see the class comment): load A; rX = append
+    // rL, v; store A', rX, with A and A' the same frame-invariant address
+    // and no memory write between the load and the append.
+    cell_load_.assign(fn_.num_instrs(), false);
+    cell_append_.assign(fn_.num_instrs(), false);
+    for (BlockId b = 0; b < fn_.num_blocks(); ++b) {
+      const std::vector<uint32_t>& instrs = fn_.block(b).instrs;
+      for (size_t t = 0; t < instrs.size(); ++t) {
+        const Instr& load = fn_.instr(instrs[t]);
+        if (load.op != Opcode::kLoad || use_count_[instrs[t]] != 1) {
+          continue;
+        }
+        const uint32_t append = single_user_[instrs[t]];
+        const Instr& op = fn_.instr(append);
+        if (op.op != Opcode::kListAppend || op.operands[0].kind != Operand::Kind::kReg ||
+            op.operands[0].reg != instrs[t] || use_count_[append] != 1) {
+          continue;
+        }
+        const Instr& store = fn_.instr(single_user_[append]);
+        if (store.op != Opcode::kStore || store.operands[1].kind != Operand::Kind::kReg ||
+            store.operands[1].reg != append ||
+            !SameFrameAddress(load.operands[0], store.operands[0])) {
+          continue;
+        }
+        // The store must directly follow the append, which the emitter
+        // replaces with the fused pair.
+        const std::vector<uint32_t>& user_block = fn_.block(block_of_[append]).instrs;
+        auto at = std::find(user_block.begin(), user_block.end(), append);
+        if (at == user_block.end() || at + 1 == user_block.end() ||
+            *(at + 1) != single_user_[append]) {
+          continue;
+        }
+        int crossed_calls = 0;
+        if (ReachesUser(b, t, append, [&](uint32_t index) {
+              const Instr& instr = fn_.instr(index);
+              return (instr.op == Opcode::kStore && !IsPromotedSlotAddr(instr.operands[0])) ||
+                     StopsAtCall(index, &crossed_calls);
+            })) {
+          cell_load_[instrs[t]] = true;
+          cell_append_[append] = true;
+          ++cell_appends_;
+        }
+      }
+    }
     // Pointer projection (see the class comment). The producer must be an
     // lvalue source: a kLoad resolves to a real cell, while kFieldGet /
     // kListGet need a register base (a literal base would make the pointer
@@ -370,24 +620,138 @@ class FunctionEmitter {
     }
   }
 
+  // Walks forward from the instruction at position `pos` of `block` to
+  // `user`, through a chain of blocks each entered only from the previous
+  // one: by an unconditional jump, or by a conditional branch whose other
+  // target only panics (that edge ends the frame, so nothing the walk
+  // protects is observed on it). Every execution of `user` is then preceded
+  // by the instruction at `pos` and by nothing outside the walked range.
+  // Fails on any instruction index `stops` flags and on any other control
+  // transfer.
+  bool ReachesUser(BlockId block, size_t pos, uint32_t user,
+                   const std::function<bool(uint32_t)>& stops) const {
+    std::vector<bool> visited(fn_.num_blocks(), false);
+    visited[block] = true;
+    size_t p = pos + 1;
+    while (true) {
+      const std::vector<uint32_t>& instrs = fn_.block(block).instrs;
+      if (p >= instrs.size()) {
+        return false;
+      }
+      const uint32_t index = instrs[p];
+      if (index == user) {
+        return true;
+      }
+      if (stops(index)) {
+        return false;
+      }
+      const Instr& instr = fn_.instr(index);
+      if (instr.op == Opcode::kJmp || instr.op == Opcode::kBr) {
+        BlockId next = instr.target_true;
+        if (instr.op == Opcode::kBr) {
+          if (IsPanicBlock(instr.target_true)) {
+            next = instr.target_false;
+          } else if (!IsPanicBlock(instr.target_false)) {
+            return false;
+          }
+        }
+        if (preds_[next] != 1 || visited[next]) {
+          return false;
+        }
+        visited[next] = true;
+        block = next;
+        p = 0;
+        continue;
+      }
+      if (instr.IsTerminator()) {
+        return false;
+      }
+      ++p;
+    }
+  }
+
+  // A store to `slot`, or a list append/set on a load of it (which fusion
+  // may turn into an in-place write at this position).
+  bool MayWriteSlot(const Instr& instr, uint32_t slot) const {
+    const bool list_op = instr.op == Opcode::kListAppend || instr.op == Opcode::kListSet;
+    if (instr.op != Opcode::kStore && !list_op) {
+      return false;
+    }
+    const Operand& target = instr.operands[0];
+    if (target.kind != Operand::Kind::kReg || Function::IsParamReg(target.reg)) {
+      return false;
+    }
+    if (instr.op == Opcode::kStore) {
+      return target.reg == slot;
+    }
+    const Instr& list_def = fn_.instr(target.reg);
+    return list_def.op == Opcode::kLoad && list_def.operands[0].kind == Operand::Kind::kReg &&
+           list_def.operands[0].reg == slot;
+  }
+
+  bool IsPanicBlock(BlockId b) const {
+    const std::vector<uint32_t>& instrs = fn_.block(b).instrs;
+    return instrs.size() == 1 && fn_.instr(instrs[0]).op == Opcode::kPanic;
+  }
+
+  // The parameter an operand always equals (a parameter register, or a load
+  // of a parameter-aliased slot), or -1.
+  int ParamOf(const Operand& op) const {
+    if (op.kind != Operand::Kind::kReg) {
+      return -1;
+    }
+    if (Function::IsParamReg(op.reg)) {
+      return static_cast<int>(Function::ParamIndex(op.reg));
+    }
+    return param_load_[op.reg];
+  }
+
+  // True when two address operands name the same pointer every time they
+  // are evaluated in one frame: the same parameter, or geps with equal
+  // constant indices over such bases. A parameter never changes while its
+  // frame runs, so neither does a pointer computed only from one.
+  bool SameFrameAddress(const Operand& a, const Operand& b) const {
+    if (a.kind != Operand::Kind::kReg || b.kind != Operand::Kind::kReg) {
+      return false;
+    }
+    if (ParamOf(a) >= 0 || ParamOf(b) >= 0) {
+      return ParamOf(a) == ParamOf(b);
+    }
+    const Instr& ga = fn_.instr(a.reg);
+    const Instr& gb = fn_.instr(b.reg);
+    if (ga.op != Opcode::kGep || gb.op != Opcode::kGep ||
+        ga.operands.size() != gb.operands.size()) {
+      return false;
+    }
+    for (size_t k = 1; k < ga.operands.size(); ++k) {
+      if (ga.operands[k].kind != Operand::Kind::kIntConst ||
+          gb.operands[k].kind != Operand::Kind::kIntConst ||
+          ga.operands[k].imm != gb.operands[k].imm) {
+        return false;
+      }
+    }
+    return SameFrameAddress(ga.operands[0], gb.operands[0]);
+  }
+
   // True when `op` names a register that is dead after the instruction at
   // `user` consumes it: structurally single-def (reg == defining index),
-  // statically single-use, and defined in the block currently being emitted,
+  // statically single-use, and reached from its def by the forwarding walk,
   // so one dynamic def precedes each dynamic use. Such operands can be
-  // std::move'd into their sink. Forwarded (subst_) and projected operands
-  // name live storage and are never movable.
+  // std::move'd into their sink. Forwarded and projected operands name live
+  // storage and are never movable.
   bool MovableInto(const Operand& op, uint32_t user) const {
     return op.kind == Operand::Kind::kReg && !Function::IsParamReg(op.reg) &&
-           use_count_[op.reg] == 1 && single_user_[op.reg] == user &&
-           block_instrs_.count(op.reg) != 0 && !projectable_[op.reg] &&
-           subst_.count(op.reg) == 0 && !promoted_[op.reg] && param_load_[op.reg] < 0;
+           single_user_[op.reg] == user && dead_after_use_[op.reg] &&
+           !projectable_[op.reg] && !forward_[op.reg] &&
+           !promoted_[op.reg] && param_load_[op.reg] < 0;
   }
 
   // ValueExpr, wrapped in std::move when the operand is provably dead after
-  // `user` (or after the whole frame, for kRet).
+  // `user` (or after the whole frame, for kRet). Boxed scalars are
+  // temporaries already.
   std::string SinkExpr(const Operand& op, uint32_t user) const {
     std::string expr = ValueExpr(op);
-    if (MovableInto(op, user)) {
+    if (!IsScalarOperand(op) && MovableInto(op, user)) {
       return StrCat("std::move(", expr, ")");
     }
     return expr;
@@ -407,11 +771,15 @@ class FunctionEmitter {
     return fn_.instr(load_index).operands[0].reg;
   }
 
-  // A call the forwarding pass may float pending loads across: the callee
-  // summary proves it pure, i.e. it writes no caller-reachable memory, so
-  // no promoted slot changes while it runs. (Slot addresses never leave the
-  // frame, so purity is stronger than strictly necessary — but it is a
-  // checked interprocedural fact, not an argument the emitter re-derives.)
+  bool IsForwarded(const Operand& op) const {
+    return op.kind == Operand::Kind::kReg && !Function::IsParamReg(op.reg) && forward_[op.reg];
+  }
+
+  // A call a forwarded load may cross: the callee summary proves it pure,
+  // i.e. it writes no caller-reachable memory, so no promoted slot changes
+  // while it runs. (Slot addresses never leave the frame, so purity is
+  // stronger than strictly necessary — but it is a checked interprocedural
+  // fact, not an argument the emitter re-derives.)
   bool IsForwardTransparentCall(uint32_t index) const {
     const Instr& instr = fn_.instr(index);
     if (instr.op != Opcode::kCall) {
@@ -424,55 +792,36 @@ class FunctionEmitter {
     return summary != nullptr && summary->analyzed && summary->pure;
   }
 
-  // Emits one basic block. Forwardable loads are not emitted eagerly: each
-  // stays pending until its single consumer arrives (the slot is then read
-  // in place of the copy), a slot-mutating instruction forces a flush, or —
-  // the interprocedural case — it is carried across a summarized pure call
-  // to a consumer on the far side.
-  void EmitBlock(const std::vector<uint32_t>& instrs) {
-    block_instrs_.clear();
-    block_instrs_.insert(instrs.begin(), instrs.end());
-    std::vector<uint32_t> pending;  // forwardable loads awaiting their consumer
-    size_t i = 0;
-    while (i < instrs.size()) {
-      uint32_t index = instrs[i];
-      if (IsForwardableLoad(index)) {
-        pending.push_back(index);
-        ++i;
-        continue;
-      }
-      subst_.clear();
-      std::vector<uint32_t> carried;
-      const bool transparent = IsForwardTransparentCall(index);
-      for (uint32_t load : pending) {
-        if (single_user_[load] == index) {
-          subst_[load] = StrCat("a", SlotOf(load));
-        } else if (transparent) {
-          carried.push_back(load);
-          ++cross_call_forwards_;
-        } else {
-          EmitInstr(load);  // consumed later or in another block
-        }
-      }
-      // A fused mutation writes its slot in place, which is why every
-      // pending load it does not consume was flushed above (append/set is
-      // never transparent): no pending read can observe the mutated cell.
-      if (TryEmitFusedMutation(instrs, i)) {
-        subst_.clear();
-        pending = std::move(carried);
-        i += 2;  // the mutation consumed the op and its store
-        continue;
-      }
-      EmitInstr(index);
-      subst_.clear();
-      pending = std::move(carried);
-      ++i;
+  // The call test of the forwarding walks: true at a call the summaries do
+  // not prove pure; a pure call is counted in `crossed_calls` and passed.
+  bool StopsAtCall(uint32_t index, int* crossed_calls) const {
+    if (fn_.instr(index).op != Opcode::kCall) {
+      return false;
     }
-    // Unreachable — blocks end in a terminator, which is never a load and
-    // never transparent, so the last iteration drained `pending` — but a
-    // dropped load would silently change behavior, so flush defensively.
-    for (uint32_t load : pending) {
-      EmitInstr(load);
+    if (!IsForwardTransparentCall(index)) {
+      return true;
+    }
+    ++*crossed_calls;
+    return false;
+  }
+
+  // Emits one basic block. Forwarded loads emit nothing (their consumer
+  // reads the slot); a fused mutation covers its op and the store after it.
+  void EmitBlock(const std::vector<uint32_t>& instrs) {
+    for (size_t i = 0; i < instrs.size(); ++i) {
+      if (forward_[instrs[i]]) {
+        continue;
+      }
+      if (cell_append_[instrs[i]]) {
+        EmitCellAppend(instrs[i], instrs[i + 1]);
+        ++i;  // the append consumed its store
+        continue;
+      }
+      if (TryEmitFusedMutation(instrs, i)) {
+        ++i;  // the mutation consumed the op and its store
+        continue;
+      }
+      EmitInstr(instrs[i]);
     }
   }
 
@@ -490,7 +839,7 @@ class FunctionEmitter {
     }
     // The list operand must be a load forwarded from a promoted slot.
     const Operand& list_op = op.operands[0];
-    if (list_op.kind != Operand::Kind::kReg || subst_.count(list_op.reg) == 0) {
+    if (!IsForwarded(list_op)) {
       return false;
     }
     uint32_t slot = SlotOf(list_op.reg);
@@ -509,8 +858,7 @@ class FunctionEmitter {
     // mid-mutation; keep the interpreter's copy-then-store order instead.
     for (size_t k = 1; k < op.operands.size(); ++k) {
       const Operand& other = op.operands[k];
-      if (other.kind == Operand::Kind::kReg && subst_.count(other.reg) != 0 &&
-          SlotOf(other.reg) == slot) {
+      if (IsForwarded(other) && SlotOf(other.reg) == slot) {
         return false;
       }
     }
@@ -523,10 +871,20 @@ class FunctionEmitter {
            << "    if (idx < 0 || static_cast<size_t>(idx) >= a" << slot
            << ".elems.size()) return GenPanic(ctx, \"index out of range\");\n"
            << "    a" << slot << ".elems[static_cast<size_t>(idx)] = "
-           << ValueExpr(op.operands[2]) << ";\n"
+           << SinkExpr(op.operands[2], op_index) << ";\n"
            << "  }\n";
     }
     return true;
+  }
+
+  // rX = append rL, v; store A', rX  with rL a cell load (cell_load_): grow
+  // the cell in place. The store's null and resolve checks run here, where
+  // the append (which cannot panic) would have run just before them.
+  void EmitCellAppend(uint32_t append, uint32_t store) {
+    EmitResolve(fn_.instr(store).operands[0], "Value");
+    out_ << "    target->elems.push_back(" << SinkExpr(fn_.instr(append).operands[1], append)
+         << ");\n"
+         << "  }\n";
   }
 
   // The C++ variable holding a register: parameters are p<k>, instruction
@@ -538,11 +896,47 @@ class FunctionEmitter {
     return StrCat("r", reg);
   }
 
-  // An operand as a Value expression (variable reference, forwarded slot, or
-  // literal).
+  Type OperandType(const Operand& op) const {
+    if (op.kind == Operand::Kind::kReg) {
+      return Function::IsParamReg(op.reg) ? fn_.params()[Function::ParamIndex(op.reg)].type
+                                          : fn_.instr(op.reg).result_type;
+    }
+    return op.type;
+  }
+
+  bool IsScalarOperand(const Operand& op) const {
+    switch (op.kind) {
+      case Operand::Kind::kIntConst:
+      case Operand::Kind::kBoolConst:
+        return true;
+      case Operand::Kind::kReg:
+        return IsScalarType(types_, OperandType(op));
+      case Operand::Kind::kNull:
+      case Operand::Kind::kNone:
+        break;
+    }
+    return false;
+  }
+
+  bool IsGenPtr(const Operand& op) const {
+    return op.kind == Operand::Kind::kReg && !Function::IsParamReg(op.reg) && gen_ptr_[op.reg];
+  }
+
+  // An operand as a Value expression (variable reference, forwarded slot,
+  // boxed scalar, or literal).
   std::string ValueExpr(const Operand& op) const {
+    if (op.kind == Operand::Kind::kBoolConst) {
+      return op.imm != 0 ? "Value::Bool(true)" : "Value::Bool(false)";
+    }
+    if (IsScalarOperand(op)) {
+      if (types_.kind(OperandType(op)) == TypeKind::kBool) {
+        return StrCat("Value::Bool((", IntExpr(op), ") != 0)");
+      }
+      return StrCat("Value::Int(", IntExpr(op), ")");
+    }
     switch (op.kind) {
       case Operand::Kind::kReg: {
+        DNSV_CHECK(!IsGenPtr(op));
         if (!Function::IsParamReg(op.reg)) {
           if (projectable_[op.reg]) {
             return StrCat("(*q", op.reg, ")");
@@ -550,41 +944,36 @@ class FunctionEmitter {
           if (param_load_[op.reg] >= 0) {
             return StrCat("p", param_load_[op.reg]);
           }
-          auto it = subst_.find(op.reg);
-          if (it != subst_.end()) {
-            return it->second;
+          if (forward_[op.reg]) {
+            return StrCat("a", SlotOf(op.reg));
           }
         }
         return RegName(op.reg);
       }
-      case Operand::Kind::kIntConst:
-        return StrCat("Value::Int(", IntLiteral(op.imm), ")");
-      case Operand::Kind::kBoolConst:
-        return op.imm != 0 ? "Value::Bool(true)" : "Value::Bool(false)";
       case Operand::Kind::kNull:
         return "Value::NullPtr()";
-      case Operand::Kind::kNone:
+      default:
         break;
     }
     DNSV_CHECK(false);
     return "Value::Unit()";
   }
 
-  // An operand's integer payload (Value::i) as a plain int64_t expression —
-  // the fast path for arithmetic, comparisons, and branch conditions.
+  // A scalar operand as a plain int64_t expression — the fast path for
+  // arithmetic, comparisons, branch conditions, and indices.
   std::string IntExpr(const Operand& op) const {
     switch (op.kind) {
       case Operand::Kind::kReg: {
+        DNSV_CHECK(IsScalarOperand(op));
         if (!Function::IsParamReg(op.reg)) {
           if (param_load_[op.reg] >= 0) {
-            return StrCat("p", param_load_[op.reg], ".i");
+            return StrCat("p", param_load_[op.reg]);
           }
-          auto it = subst_.find(op.reg);
-          if (it != subst_.end()) {
-            return it->second + ".i";
+          if (forward_[op.reg]) {
+            return StrCat("a", SlotOf(op.reg));
           }
         }
-        return RegName(op.reg) + ".i";
+        return RegName(op.reg);
       }
       case Operand::Kind::kIntConst:
         return IntLiteral(op.imm);
@@ -598,12 +987,29 @@ class FunctionEmitter {
     return "0LL";
   }
 
+  // Opens a block that binds `target` to the cell `addr` points at, with the
+  // interpreter's null and resolve checks (a GenPtr is never null, so only
+  // the resolve check remains for it).
+  void EmitResolve(const Operand& addr, const char* target_type) {
+    out_ << "  {\n";
+    if (IsGenPtr(addr)) {
+      out_ << "    " << target_type << "* target = GenResolve(ctx.memory, r" << addr.reg
+           << ");\n";
+    } else {
+      out_ << "    const Value& ptr = " << ValueExpr(addr) << ";\n"
+           << "    if (ptr.IsNullPtr()) return GenPanic(ctx, \"nil pointer dereference\");\n"
+           << "    " << target_type
+           << "* target = ctx.memory->Resolve(ptr.block, ptr.path);\n";
+    }
+    out_ << "    if (target == nullptr) return GenPanic(ctx, \"invalid memory access\");\n";
+  }
+
   void EmitInstr(uint32_t index) {
     const Instr& instr = fn_.instr(index);
-    const TypeTable& types = module_.types();
     auto val = [&](size_t k) { return ValueExpr(instr.operands[k]); };
     auto num = [&](size_t k) { return IntExpr(instr.operands[k]); };
     auto sink = [&](size_t k) { return SinkExpr(instr.operands[k], index); };
+    const bool scalar = instr.ProducesValue() && IsScalarType(types_, instr.result_type);
     std::string dst = StrCat("r", index);
     switch (instr.op) {
       case Opcode::kBinOp:
@@ -611,9 +1017,9 @@ class FunctionEmitter {
         break;
       case Opcode::kUnOp:
         if (instr.un_op == UnOp::kNot) {
-          out_ << "  " << dst << " = Value::Bool((" << num(0) << ") == 0);\n";
+          out_ << "  " << dst << " = (" << num(0) << ") == 0;\n";
         } else {
-          out_ << "  " << dst << " = Value::Int(-(" << num(0) << "));\n";
+          out_ << "  " << dst << " = -(" << num(0) << ");\n";
         }
         break;
       case Opcode::kAlloca:
@@ -624,11 +1030,14 @@ class FunctionEmitter {
           }
           // A re-executed site (loop body) re-zeroes the cell, exactly as a
           // fresh interpreter cell starts zeroed.
-          out_ << "  a" << index << " = " << ZeroExpr(types, instr.alloc_type) << ";\n";
+          out_ << "  a" << index << " = "
+               << (IsScalarType(types_, instr.alloc_type) ? "0"
+                                                          : ZeroExpr(types_, instr.alloc_type))
+               << ";\n";
           break;
         }
         out_ << "  " << dst << " = Value::Ptr(ctx.memory->Alloc("
-             << ZeroExpr(types, instr.alloc_type) << "));\n";
+             << ZeroExpr(types_, instr.alloc_type) << "));\n";
         break;
       case Opcode::kLoad:
         if (param_load_[index] >= 0) {
@@ -638,13 +1047,13 @@ class FunctionEmitter {
           out_ << "  " << dst << " = a" << instr.operands[0].reg << ";\n";
           break;
         }
-        out_ << "  {\n"
-             << "    const Value& ptr = " << val(0) << ";\n"
-             << "    if (ptr.IsNullPtr()) return GenPanic(ctx, \"nil pointer dereference\");\n"
-             << "    const Value* target = ctx.memory->Resolve(ptr.block, ptr.path);\n"
-             << "    if (target == nullptr) return GenPanic(ctx, \"invalid memory access\");\n";
-        if (projectable_[index]) {
+        EmitResolve(instr.operands[0], "const Value");
+        if (cell_load_[index]) {
+          // Checks only: the fused append re-resolves the cell and grows it.
+        } else if (projectable_[index]) {
           out_ << "    q" << index << " = target;\n";
+        } else if (scalar) {
+          out_ << "    " << dst << " = target->i;\n";
         } else {
           out_ << "    " << dst << " = *target;\n";
         }
@@ -655,39 +1064,17 @@ class FunctionEmitter {
           if (slot_param_alias_[instr.operands[0].reg] >= 0) {
             break;  // the elided prologue copy: the slot IS the parameter
           }
-          out_ << "  a" << instr.operands[0].reg << " = " << sink(1) << ";\n";
+          out_ << "  a" << instr.operands[0].reg << " = "
+               << (IsScalarOperand(instr.operands[1]) ? num(1) : sink(1)) << ";\n";
           break;
         }
-        out_ << "  {\n"
-             << "    const Value& ptr = " << val(0) << ";\n"
-             << "    if (ptr.IsNullPtr()) return GenPanic(ctx, \"nil pointer dereference\");\n"
-             << "    Value* target = ctx.memory->Resolve(ptr.block, ptr.path);\n"
-             << "    if (target == nullptr) return GenPanic(ctx, \"invalid memory access\");\n"
-             << "    *target = " << sink(1) << ";\n"
+        EmitResolve(instr.operands[0], "Value");
+        out_ << "    *target = " << sink(1) << ";\n"
              << "  }\n";
         break;
-      case Opcode::kGep: {
-        // GenGepInto builds the extended path in one allocation (or none,
-        // when the destination register's capacity suffices); the null check
-        // runs at the same program point as the interpreter's.
-        out_ << "  {\n"
-             << "    const Value& base = " << val(0) << ";\n"
-             << "    if (base.IsNullPtr()) return GenPanic(ctx, \"nil pointer dereference\");\n";
-        if (instr.operands.size() > 1) {
-          out_ << "    const int64_t idxs[] = {";
-          for (size_t k = 1; k < instr.operands.size(); ++k) {
-            if (k > 1) out_ << ", ";
-            out_ << num(k);
-          }
-          out_ << "};\n"
-               << "    GenGepInto(&" << dst << ", base, idxs, " << instr.operands.size() - 1
-               << ");\n";
-        } else {
-          out_ << "    GenGepInto(&" << dst << ", base, nullptr, 0);\n";
-        }
-        out_ << "  }\n";
+      case Opcode::kGep:
+        EmitGep(index, instr);
         break;
-      }
       case Opcode::kCall:
         EmitCall(index, instr);
         break;
@@ -695,8 +1082,7 @@ class FunctionEmitter {
         out_ << "  " << dst << " = Value::List();\n";
         break;
       case Opcode::kListLen:
-        out_ << "  " << dst << " = Value::Int(static_cast<int64_t>((" << val(0)
-             << ").elems.size()));\n";
+        out_ << "  " << dst << " = static_cast<int64_t>((" << val(0) << ").elems.size());\n";
         break;
       case Opcode::kListGet:
         out_ << "  {\n"
@@ -706,6 +1092,8 @@ class FunctionEmitter {
                 "return GenPanic(ctx, \"index out of range\");\n";
         if (projectable_[index]) {
           out_ << "    q" << index << " = &list.elems[static_cast<size_t>(idx)];\n";
+        } else if (scalar) {
+          out_ << "    " << dst << " = list.elems[static_cast<size_t>(idx)].i;\n";
         } else {
           out_ << "    Value elem = list.elems[static_cast<size_t>(idx)];\n"
                << "    " << dst << " = std::move(elem);\n";
@@ -718,14 +1106,14 @@ class FunctionEmitter {
              << "    int64_t idx = " << num(1) << ";\n"
              << "    if (idx < 0 || static_cast<size_t>(idx) >= list.elems.size()) "
                 "return GenPanic(ctx, \"index out of range\");\n"
-             << "    list.elems[static_cast<size_t>(idx)] = " << val(2) << ";\n"
+             << "    list.elems[static_cast<size_t>(idx)] = " << sink(2) << ";\n"
              << "    " << dst << " = std::move(list);\n"
              << "  }\n";
         break;
       case Opcode::kListAppend:
         out_ << "  {\n"
              << "    Value list = " << sink(0) << ";\n"
-             << "    list.elems.push_back(" << val(1) << ");\n"
+             << "    list.elems.push_back(" << sink(1) << ");\n"
              << "    " << dst << " = std::move(list);\n"
              << "  }\n";
         break;
@@ -733,18 +1121,22 @@ class FunctionEmitter {
         if (projectable_[index]) {
           out_ << "  q" << index << " = &(" << val(0) << ").elems[static_cast<size_t>("
                << instr.field_index << ")];\n";
-          break;
+        } else if (scalar) {
+          out_ << "  " << dst << " = (" << val(0) << ").elems[static_cast<size_t>("
+               << instr.field_index << ")].i;\n";
+        } else {
+          out_ << "  {\n"
+               << "    Value field = (" << val(0) << ").elems[static_cast<size_t>("
+               << instr.field_index << ")];\n"
+               << "    " << dst << " = std::move(field);\n"
+               << "  }\n";
         }
-        out_ << "  {\n"
-             << "    Value field = (" << val(0) << ").elems[static_cast<size_t>("
-             << instr.field_index << ")];\n"
-             << "    " << dst << " = std::move(field);\n"
-             << "  }\n";
         break;
       case Opcode::kHavoc:
         // Concretely havoc is the zero value (spec-dialect behavior,
         // matching the interpreter).
-        out_ << "  " << dst << " = " << ZeroExpr(types, instr.result_type) << ";\n";
+        out_ << "  " << dst << " = "
+             << (scalar ? "0" : ZeroExpr(types_, instr.result_type)) << ";\n";
         break;
       case Opcode::kBr:
         out_ << "  if ((" << num(0) << ") != 0) goto bb" << instr.target_true
@@ -756,6 +1148,8 @@ class FunctionEmitter {
       case Opcode::kRet:
         if (instr.operands.empty()) {
           out_ << "  *ret = Value::Unit();\n  return true;\n";
+        } else if (IsScalarOperand(instr.operands[0])) {
+          out_ << "  *ret = " << num(0) << ";\n  return true;\n";
         } else if (instr.operands[0].kind == Operand::Kind::kReg &&
                    !Function::IsParamReg(instr.operands[0].reg) &&
                    !projectable_[instr.operands[0].reg] &&
@@ -778,66 +1172,110 @@ class FunctionEmitter {
     }
   }
 
+  // kGep in its four shapes: Value or GenPtr base, into a Value or a GenPtr
+  // result. The null check on a Value base runs at the interpreter's program
+  // point; a GenPtr base is never null.
+  void EmitGep(uint32_t index, const Instr& instr) {
+    const Operand& base = instr.operands[0];
+    out_ << "  {\n";
+    std::string base_expr;
+    if (IsGenPtr(base)) {
+      base_expr = StrCat("r", base.reg);
+    } else {
+      out_ << "    const Value& base = " << ValueExpr(base) << ";\n"
+           << "    if (base.IsNullPtr()) return GenPanic(ctx, \"nil pointer dereference\");\n";
+      base_expr = "base";
+    }
+    std::string idxs = "nullptr";
+    if (instr.operands.size() > 1) {
+      out_ << "    const int64_t idxs[] = {";
+      for (size_t k = 1; k < instr.operands.size(); ++k) {
+        if (k > 1) out_ << ", ";
+        out_ << IntExpr(instr.operands[k]);
+      }
+      out_ << "};\n";
+      idxs = "idxs";
+    }
+    // GenGepInto builds a Value path in one allocation (or none, when the
+    // destination register's capacity suffices); GenPtrGep allocates never.
+    out_ << "    " << (gen_ptr_[index] ? "GenPtrGep" : "GenGepInto") << "(&r" << index << ", "
+         << base_expr << ", " << idxs << ", " << instr.operands.size() - 1 << ");\n"
+         << "  }\n";
+  }
+
   void EmitBinOp(uint32_t index, const Instr& instr) {
     std::string dst = StrCat("r", index);
-    // Lazy: pointer comparisons take Value operands (possibly the null
-    // literal), which have no integer spelling.
-    std::string a, b;
-    if (instr.bin_op != BinOp::kPtrEq && instr.bin_op != BinOp::kPtrNe) {
-      a = IntExpr(instr.operands[0]);
-      b = IntExpr(instr.operands[1]);
+    if (instr.bin_op == BinOp::kPtrEq || instr.bin_op == BinOp::kPtrNe) {
+      EmitPtrCompare(dst, instr);
+      return;
     }
-    auto emit_int = [&](const char* op) {
-      out_ << "  " << dst << " = Value::Int((" << a << ") " << op << " (" << b << "));\n";
-    };
-    auto emit_cmp = [&](const char* op) {
-      out_ << "  " << dst << " = Value::Bool((" << a << ") " << op << " (" << b << "));\n";
+    std::string a = IntExpr(instr.operands[0]);
+    std::string b = IntExpr(instr.operands[1]);
+    auto emit = [&](const char* op) {
+      out_ << "  " << dst << " = (" << a << ") " << op << " (" << b << ");\n";
     };
     switch (instr.bin_op) {
-      case BinOp::kAdd: emit_int("+"); break;
-      case BinOp::kSub: emit_int("-"); break;
-      case BinOp::kMul: emit_int("*"); break;
+      case BinOp::kAdd: emit("+"); break;
+      case BinOp::kSub: emit("-"); break;
+      case BinOp::kMul: emit("*"); break;
       case BinOp::kDiv:
         out_ << "  if ((" << b << ") == 0) "
              << "return GenPanic(ctx, \"integer divide by zero\");\n";
-        emit_int("/");
+        emit("/");
         break;
       case BinOp::kMod:
         out_ << "  if ((" << b << ") == 0) "
              << "return GenPanic(ctx, \"integer divide by zero\");\n";
-        emit_int("%");
+        emit("%");
         break;
       case BinOp::kEq:
       case BinOp::kBoolEq:
-        emit_cmp("==");
+        emit("==");
         break;
       case BinOp::kNe:
       case BinOp::kBoolNe:
-        emit_cmp("!=");
+        emit("!=");
         break;
-      case BinOp::kLt: emit_cmp("<"); break;
-      case BinOp::kLe: emit_cmp("<="); break;
-      case BinOp::kGt: emit_cmp(">"); break;
-      case BinOp::kGe: emit_cmp(">="); break;
+      case BinOp::kLt: emit("<"); break;
+      case BinOp::kLe: emit("<="); break;
+      case BinOp::kGt: emit(">"); break;
+      case BinOp::kGe: emit(">="); break;
       case BinOp::kAnd:
-        out_ << "  " << dst << " = Value::Bool((" << a << ") != 0 && (" << b
-             << ") != 0);\n";
+        out_ << "  " << dst << " = (" << a << ") != 0 && (" << b << ") != 0;\n";
         break;
       case BinOp::kOr:
-        out_ << "  " << dst << " = Value::Bool((" << a << ") != 0 || (" << b
-             << ") != 0);\n";
+        out_ << "  " << dst << " = (" << a << ") != 0 || (" << b << ") != 0;\n";
         break;
       case BinOp::kPtrEq:
-      case BinOp::kPtrNe: {
-        bool eq = instr.bin_op == BinOp::kPtrEq;
-        out_ << "  {\n"
-             << "    const Value& lhs = " << ValueExpr(instr.operands[0]) << ";\n"
-             << "    const Value& rhs = " << ValueExpr(instr.operands[1]) << ";\n"
-             << "    " << dst << " = Value::Bool(" << (eq ? "" : "!")
-             << "(lhs.block == rhs.block && lhs.path == rhs.path));\n"
-             << "  }\n";
-        break;
-      }
+      case BinOp::kPtrNe:
+        break;  // handled above
+    }
+  }
+
+  // Pointer identity, as the interpreter computes it: same block and same
+  // path. Against the null literal (block 0, empty path) that is a test of
+  // the other side's block and path, with no NullPtr temporary.
+  void EmitPtrCompare(const std::string& dst, const Instr& instr) {
+    const char* negate = instr.bin_op == BinOp::kPtrEq ? "" : "!";
+    const Operand& x = instr.operands[0];
+    const Operand& y = instr.operands[1];
+    const bool x_null = x.kind == Operand::Kind::kNull;
+    const bool y_null = y.kind == Operand::Kind::kNull;
+    if (x_null && y_null) {
+      out_ << "  " << dst << " = " << negate << "true;\n";
+    } else if (x_null || y_null) {
+      out_ << "  {\n"
+           << "    const Value& p = " << ValueExpr(x_null ? y : x) << ";\n"
+           << "    " << dst << " = " << negate
+           << "(p.block == kNullBlockIndex && p.path.empty());\n"
+           << "  }\n";
+    } else {
+      out_ << "  {\n"
+           << "    const Value& lhs = " << ValueExpr(x) << ";\n"
+           << "    const Value& rhs = " << ValueExpr(y) << ";\n"
+           << "    " << dst << " = " << negate
+           << "(lhs.block == rhs.block && lhs.path == rhs.path);\n"
+           << "  }\n";
     }
   }
 
@@ -845,8 +1283,8 @@ class FunctionEmitter {
     std::string dst = StrCat("r", index);
     if (instr.text == "listEq") {
       DNSV_CHECK(instr.operands.size() == 2);
-      out_ << "  " << dst << " = Value::Bool((" << ValueExpr(instr.operands[0])
-           << ").elems == (" << ValueExpr(instr.operands[1]) << ").elems);\n";
+      out_ << "  " << dst << " = (" << ValueExpr(instr.operands[0]) << ").elems == ("
+           << ValueExpr(instr.operands[1]) << ").elems;\n";
       return;
     }
     const Function* callee = module_.GetFunction(instr.text);
@@ -855,7 +1293,8 @@ class FunctionEmitter {
                    "codegen: arity mismatch calling " + instr.text);
     out_ << "  if (!" << symbols_.Symbol(instr.text) << "(ctx";
     for (size_t k = 0; k < instr.operands.size(); ++k) {
-      out_ << ", " << ValueExpr(instr.operands[k]);
+      const Operand& arg = instr.operands[k];
+      out_ << ", " << (IsScalarOperand(arg) ? IntExpr(arg) : ValueExpr(arg));
     }
     out_ << ", &" << dst << ")) return false;\n";
   }
@@ -866,27 +1305,40 @@ class FunctionEmitter {
   }
 
  public:
-  // Interprocedural-optimization outcomes, for the generated file's trailer.
+  // Optimization outcomes, for the generated file's trailer.
   int stack_promoted() const { return stack_promoted_; }
   int cross_call_forwards() const { return cross_call_forwards_; }
+  int scalar_locals() const { return scalar_locals_; }
+  int inline_geps() const { return inline_geps_; }
+  int cell_appends() const { return cell_appends_; }
 
  private:
   const Module& module_;
+  const TypeTable& types_;
   const Function& fn_;
   const SymbolTable& symbols_;
   const InterprocContext& interproc_;
   const EscapeResult& escapes_;
+  const size_t ptr_capacity_;  // GenPtr index capacity; 0 disables GenPtr
   std::ostream& out_;
   int stack_promoted_ = 0;      // kNewObject sites promoted to C++ locals
-  int cross_call_forwards_ = 0; // pending loads carried across a pure call
+  int cross_call_forwards_ = 0; // pure calls crossed by forwarded loads
+  int scalar_locals_ = 0;       // registers and slots emitted as int64_t
+  int inline_geps_ = 0;         // gep results emitted as GenPtr
+  int cell_appends_ = 0;        // memory list appends grown in place
   std::vector<int> use_count_;        // operand references per result register
   std::vector<uint32_t> single_user_; // meaningful only when use_count_ == 1
+  std::vector<BlockId> block_of_;     // the block holding each instruction
+  std::vector<int> preds_;            // CFG in-edges per block (entry counts one more)
   std::vector<bool> promoted_;        // kAlloca indices promoted to locals
   std::vector<bool> projectable_;     // emitted as const Value* q<i>, not a copy
+  std::vector<bool> gen_ptr_;         // kGep results emitted as GenPtr
+  std::vector<bool> forward_;         // loads whose consumer reads the slot
+  std::vector<bool> dead_after_use_;  // single-use registers movable at that use
+  std::vector<bool> cell_load_;       // memory loads whose append grows the cell
+  std::vector<bool> cell_append_;     // appends fused with the store after them
   std::vector<int> slot_param_alias_; // promoted slot -> aliased param index, or -1
   std::vector<int> param_load_;       // load of an aliased slot -> param index, or -1
-  std::unordered_set<uint32_t> block_instrs_;        // instrs of the current block
-  std::unordered_map<uint32_t, std::string> subst_;  // forwarded load -> slot expr
 };
 
 }  // namespace
@@ -912,6 +1364,7 @@ void EmitGenModule(const Module& module, EngineVersion version,
                    const std::string& version_name, uint64_t fingerprint,
                    std::ostream& out) {
   SymbolTable symbols(module);
+  const TypeTable& types = module.types();
   // Interprocedural facts feeding the emitter. Every generated function is
   // externally callable through the GenFnEntry dispatch table, so — unlike
   // the verifier, which roots the analysis at EngineAnalysisRoots — every
@@ -948,33 +1401,57 @@ void EmitGenModule(const Module& module, EngineVersion version,
       << "namespace {\n\n";
 
   for (const auto& fn : module.functions()) {
-    out << FunctionEmitter::Signature(symbols.Symbol(fn->name()), *fn) << ";\n";
+    out << FunctionEmitter::Signature(types, symbols.Symbol(fn->name()), *fn) << ";\n";
   }
   out << "\n";
+  const size_t ptr_capacity = MaxPathDepth(module);
   int promoted_total = 0;
   int carried_total = 0;
+  int scalar_total = 0;
+  int inline_gep_total = 0;
+  int cell_append_total = 0;
   for (const auto& fn : module.functions()) {
-    FunctionEmitter emitter(module, *fn, symbols, interproc, escapes, out);
+    FunctionEmitter emitter(module, *fn, symbols, interproc, escapes, ptr_capacity, out);
     emitter.Emit();
     promoted_total += emitter.stack_promoted();
     carried_total += emitter.cross_call_forwards();
+    scalar_total += emitter.scalar_locals();
+    inline_gep_total += emitter.inline_geps();
+    cell_append_total += emitter.cell_appends();
     out << "\n";
   }
   out << "// interproc codegen: " << promoted_total
       << " heap allocation(s) stack-promoted, " << carried_total
-      << " load(s) carried across summarized pure calls.\n\n";
+      << " load(s) carried across summarized pure calls.\n"
+      << "// typed codegen: " << scalar_total << " scalar local(s) as int64_t, "
+      << inline_gep_total << " gep(s) as inline paths of capacity " << ptr_capacity << ", "
+      << cell_append_total << " memory list append(s) in place.\n\n";
 
   // Uniform vector-unpacking wrappers, one per function, for the GenFnEntry
-  // dispatch table.
+  // dispatch table. They unbox scalar arguments and box a scalar result with
+  // the kind its AbsIR type gives it, as the interpreter would.
   for (const auto& fn : module.functions()) {
     const std::string& symbol = symbols.Symbol(fn->name());
+    const bool scalar_ret = IsScalarType(types, fn->return_type());
     out << "bool call_" << symbol.substr(3)
-        << "(GenCtx& ctx, const std::vector<Value>& args, Value* ret) {\n"
-        << "  return " << symbol << "(ctx";
-    for (size_t i = 0; i < fn->params().size(); ++i) {
-      out << ", args[" << i << "]";
+        << "(GenCtx& ctx, const std::vector<Value>& args, Value* ret) {\n";
+    if (scalar_ret) {
+      out << "  int64_t result = 0;\n  if (!" << symbol << "(ctx";
+    } else {
+      out << "  return " << symbol << "(ctx";
     }
-    out << ", ret);\n}\n";
+    for (size_t i = 0; i < fn->params().size(); ++i) {
+      out << ", args[" << i << "]" << (IsScalarType(types, fn->params()[i].type) ? ".i" : "");
+    }
+    if (scalar_ret) {
+      out << ", &result)) return false;\n"
+          << (types.kind(fn->return_type()) == TypeKind::kBool
+                  ? "  *ret = Value::Bool(result != 0);\n"
+                  : "  *ret = Value::Int(result);\n")
+          << "  return true;\n}\n";
+    } else {
+      out << ", ret);\n}\n";
+    }
   }
 
   out << "\nconst GenFnEntry kEntries[] = {\n";

@@ -33,7 +33,7 @@ namespace {
 
 // Bump when EmitGenModule's output or PruneForCodegen's behavior changes:
 // the source hash cannot see emitter changes, only this token can.
-constexpr char kCodegenSchema[] = "v1";
+constexpr char kCodegenSchema[] = "v2";
 constexpr char kCodegenKind[] = "codegen";
 
 std::string CodegenKey(dnsv::EngineVersion version) {

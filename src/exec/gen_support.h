@@ -59,6 +59,76 @@ inline void GenGepInto(Value* dst, const Value& base, const int64_t* idxs, size_
   path.insert(path.end(), idxs, idxs + n);
 }
 
+// A pointer held outside the Value model: the result of a kGep used only as
+// the address of a load, a store or another gep (codegen.cc, "inline GEP
+// paths"). The index path lives inline; the emitter sizes N from the
+// module's deepest struct/list nesting, which bounds every well-typed path.
+// Only an ill-typed host value could exceed it, and such a path fails
+// closed: the pointer is marked with kGenInvalidBlock, which Resolve rejects
+// as "invalid memory access", exactly as it rejects a path that walks off
+// the value tree.
+inline constexpr BlockIndex kGenInvalidBlock = ~BlockIndex{0};
+
+template <size_t N>
+struct GenPtr {
+  BlockIndex block = kNullBlockIndex;
+  uint32_t len = 0;
+  int64_t idx[N];
+};
+
+template <size_t N>
+inline void GenPtrAppend(GenPtr<N>* dst, const int64_t* idxs, size_t n) {
+  if (n > N - dst->len) {
+    dst->block = kGenInvalidBlock;
+    dst->len = 0;
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    dst->idx[dst->len + k] = idxs[k];
+  }
+  dst->len += static_cast<uint32_t>(n);
+}
+
+// kGep into a GenPtr from a Value base (the caller has null-checked it).
+template <size_t N>
+inline void GenPtrGep(GenPtr<N>* dst, const Value& base, const int64_t* idxs, size_t n) {
+  dst->len = 0;
+  if (base.path.size() > N) {
+    dst->block = kGenInvalidBlock;
+    return;
+  }
+  dst->block = base.block;
+  GenPtrAppend(dst, base.path.data(), base.path.size());
+  GenPtrAppend(dst, idxs, n);
+}
+
+// kGep into a GenPtr from a GenPtr base. A GenPtr is never null: it was
+// produced by a gep whose null check already ran. Only the live `len`
+// indices are copied; the rest of the array is never read.
+template <size_t N>
+inline void GenPtrGep(GenPtr<N>* dst, const GenPtr<N>& base, const int64_t* idxs, size_t n) {
+  dst->block = base.block;
+  dst->len = 0;
+  GenPtrAppend(dst, base.idx, base.len);
+  GenPtrAppend(dst, idxs, n);
+}
+
+// kGep into a Value register (the pointer escapes) from a GenPtr base.
+template <size_t N>
+inline void GenGepInto(Value* dst, const GenPtr<N>& base, const int64_t* idxs, size_t n) {
+  dst->kind = Value::Kind::kPtr;
+  dst->block = base.block;
+  dst->i = 0;
+  dst->elems.clear();
+  dst->path.assign(base.idx, base.idx + base.len);
+  dst->path.insert(dst->path.end(), idxs, idxs + n);
+}
+
+template <size_t N>
+inline Value* GenResolve(ConcreteMemory* memory, const GenPtr<N>& ptr) {
+  return memory->Resolve(ptr.block, ptr.idx, ptr.len);
+}
+
 // Uniform entry: unpacks `args` into the generated function's parameters.
 // Returns false on panic (message in ctx.panic), true with *ret set
 // otherwise.

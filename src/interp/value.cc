@@ -87,21 +87,4 @@ Value ZeroValueOf(const TypeTable& types, Type type) {
   return Value::Unit();
 }
 
-Value* ConcreteMemory::Resolve(BlockIndex block, const std::vector<int64_t>& path) {
-  if (block == kNullBlockIndex || block >= blocks_.size()) {
-    return nullptr;
-  }
-  Value* current = &blocks_[block];
-  for (int64_t index : path) {
-    if (current->kind != Value::Kind::kStruct && current->kind != Value::Kind::kList) {
-      return nullptr;
-    }
-    if (index < 0 || static_cast<size_t>(index) >= current->elems.size()) {
-      return nullptr;
-    }
-    current = &current->elems[static_cast<size_t>(index)];
-  }
-  return current;
-}
-
 }  // namespace dnsv

@@ -90,9 +90,29 @@ class ConcreteMemory {
     return static_cast<BlockIndex>(blocks_.size() - 1);
   }
 
-  // Navigates `path` inside `block`; returns nullptr when the path does not
-  // resolve (e.g. list index out of the current length).
-  Value* Resolve(BlockIndex block, const std::vector<int64_t>& path);
+  // Navigates the `len` indices at `path` inside `block`; returns nullptr
+  // when the path does not resolve (e.g. list index out of the current
+  // length).
+  Value* Resolve(BlockIndex block, const int64_t* path, size_t len) {
+    if (block == kNullBlockIndex || block >= blocks_.size()) {
+      return nullptr;
+    }
+    Value* current = &blocks_[block];
+    for (size_t k = 0; k < len; ++k) {
+      if (current->kind != Value::Kind::kStruct && current->kind != Value::Kind::kList) {
+        return nullptr;
+      }
+      const int64_t index = path[k];
+      if (index < 0 || static_cast<size_t>(index) >= current->elems.size()) {
+        return nullptr;
+      }
+      current = &current->elems[static_cast<size_t>(index)];
+    }
+    return current;
+  }
+  Value* Resolve(BlockIndex block, const std::vector<int64_t>& path) {
+    return Resolve(block, path.data(), path.size());
+  }
   const Value* Resolve(BlockIndex block, const std::vector<int64_t>& path) const {
     return const_cast<ConcreteMemory*>(this)->Resolve(block, path);
   }
