@@ -1,5 +1,8 @@
 #include "src/dns/wire.h"
 
+#include <algorithm>
+#include <charconv>
+
 #include "src/support/strings.h"
 
 namespace dnsv {
@@ -54,27 +57,44 @@ void PutOptRecord(std::vector<uint8_t>* out, uint16_t payload, uint8_t ext_rcode
   PutU16(out, 0);  // RDLENGTH: no options
 }
 
-// Splits a dotted owner string (as produced by DnsName::ToString /
-// DecodeResponse) into wire labels. Unlike DnsName::Parse this applies only
-// the wire rules — label length and name length — because response views may
-// legitimately carry names the zone-file syntax rejects (interior '*' labels
-// from wildcard counterexamples, synthesized interner labels).
-Result<DnsName> WireNameFromString(const std::string& text) {
-  DnsName name;
+// Appends the dotted name `text` (as produced by DnsName::ToString /
+// DecodeResponse) as uncompressed wire labels. Unlike DnsName::Parse this
+// applies only the wire rules — label length and name length — because
+// response views may legitimately carry names the zone-file syntax rejects
+// (interior '*' labels from wildcard counterexamples, synthesized interner
+// labels). An empty label anywhere outranks an overlong one, which outranks
+// the name length; on error `out` holds a partial name the caller discards.
+Status PutTextName(std::vector<uint8_t>* out, const std::string& text) {
   if (text.empty() || text == ".") {
-    return name;  // the root name
+    out->push_back(0);  // the root name
+    return Status::Ok();
   }
-  for (std::string& label : SplitString(text, '.')) {
-    if (label.empty()) {
-      return Result<DnsName>::Error("empty label in name: " + text);
+  if (text.front() == '.' || text.back() == '.' || text.find("..") != std::string::npos) {
+    return Status::Error("empty label in name: " + text);
+  }
+  for (size_t start = 0; start <= text.size();) {
+    size_t end = std::min(text.find('.', start), text.size());
+    if (end - start > 63) {
+      return Status::Error(StrCat("label of ", end - start,
+                                  " bytes (wire labels are 1..63) in name: ", text));
     }
-    name.labels.push_back(std::move(label));
+    out->push_back(static_cast<uint8_t>(end - start));
+    out->insert(out->end(), text.begin() + static_cast<long>(start),
+                text.begin() + static_cast<long>(end));
+    start = end + 1;
   }
-  Status valid = ValidateWireName(name);
-  if (!valid.ok()) {
-    return Result<DnsName>::Error(valid.message());
+  out->push_back(0);
+  // Every dot becomes a length byte, plus the first length byte and the root.
+  if (text.size() + 2 > kMaxNameWireBytes) {
+    return Status::Error(StrCat("name of ", text.size() + 2, " wire bytes (limit ",
+                                kMaxNameWireBytes, "): ", text));
   }
-  return name;
+  return Status::Ok();
+}
+
+void PatchU16(std::vector<uint8_t>* out, size_t offset, uint16_t value) {
+  (*out)[offset] = static_cast<uint8_t>(value >> 8);
+  (*out)[offset + 1] = static_cast<uint8_t>(value & 0xff);
 }
 
 class Reader {
@@ -164,79 +184,62 @@ class Reader {
   size_t pos_ = 0;
 };
 
-// Encodes one resource record into a fresh byte vector, so a mid-record
-// failure never leaves a partially written packet behind.
-Result<std::vector<uint8_t>> EncodeRecord(const RrView& rr) {
-  std::vector<uint8_t> out;
-  Result<DnsName> owner = WireNameFromString(rr.name);
+// Appends one resource record, RDLENGTH patched once the rdata is written.
+// On error `out` holds a partial record; the caller discards the packet.
+Status PutRecord(std::vector<uint8_t>* out, const RrView& rr) {
+  Status owner = PutTextName(out, rr.name);
   if (!owner.ok()) {
-    return Result<std::vector<uint8_t>>::Error("bad owner name: " + owner.error());
+    return Status::Error("bad owner name: " + owner.message());
   }
-  PutName(&out, owner.value());
-  PutU16(&out, static_cast<uint16_t>(rr.type));
-  PutU16(&out, 1);  // IN
-  PutU32(&out, kDefaultTtl);
-  std::vector<uint8_t> rdata;
-  auto put_rdata_name = [&rdata, &rr]() -> Status {
-    Result<DnsName> target = WireNameFromString(rr.rdata_name);
-    if (!target.ok()) {
-      return Status::Error("bad rdata name: " + target.error());
-    }
-    PutName(&rdata, target.value());
-    return Status::Ok();
-  };
+  PutU16(out, static_cast<uint16_t>(rr.type));
+  PutU16(out, 1);  // IN
+  PutU32(out, kDefaultTtl);
+  const size_t rdlength_at = out->size();
+  PutU16(out, 0);
+  Status rdata = Status::Ok();  // only a name in the rdata can fail
   switch (rr.type) {
     case RrType::kA:
-      PutU32(&rdata, static_cast<uint32_t>(rr.rdata_value));
+      PutU32(out, static_cast<uint32_t>(rr.rdata_value));
       break;
     case RrType::kAaaa:
       // 16 bytes; this repo's AAAA payload is an opaque int in the low 8.
-      PutU32(&rdata, 0);
-      PutU32(&rdata, 0);
-      PutU32(&rdata, static_cast<uint32_t>(rr.rdata_value >> 32));
-      PutU32(&rdata, static_cast<uint32_t>(rr.rdata_value & 0xffffffff));
+      PutU32(out, 0);
+      PutU32(out, 0);
+      PutU32(out, static_cast<uint32_t>(rr.rdata_value >> 32));
+      PutU32(out, static_cast<uint32_t>(rr.rdata_value & 0xffffffff));
       break;
     case RrType::kNs:
-    case RrType::kCname: {
-      Status status = put_rdata_name();
-      if (!status.ok()) {
-        return Result<std::vector<uint8_t>>::Error(status.message());
-      }
+    case RrType::kCname:
+      rdata = PutTextName(out, rr.rdata_name);
       break;
-    }
-    case RrType::kMx: {
-      PutU16(&rdata, static_cast<uint16_t>(rr.rdata_value));
-      Status status = put_rdata_name();
-      if (!status.ok()) {
-        return Result<std::vector<uint8_t>>::Error(status.message());
-      }
+    case RrType::kMx:
+      PutU16(out, static_cast<uint16_t>(rr.rdata_value));
+      rdata = PutTextName(out, rr.rdata_name);
       break;
-    }
-    case RrType::kSoa: {
-      Status status = put_rdata_name();
-      if (!status.ok()) {
-        return Result<std::vector<uint8_t>>::Error(status.message());
-      }
-      rdata.push_back(0);  // rname "." (not modeled)
-      PutU32(&rdata, static_cast<uint32_t>(rr.rdata_value));  // serial
-      PutU32(&rdata, 3600);
-      PutU32(&rdata, 900);
-      PutU32(&rdata, 604800);
-      PutU32(&rdata, 300);
+    case RrType::kSoa:
+      rdata = PutTextName(out, rr.rdata_name);
+      out->push_back(0);  // rname "." (not modeled)
+      PutU32(out, static_cast<uint32_t>(rr.rdata_value));  // serial
+      PutU32(out, 3600);
+      PutU32(out, 900);
+      PutU32(out, 604800);
+      PutU32(out, 300);
       break;
-    }
     case RrType::kTxt: {
-      std::string text = StrCat(rr.rdata_value);
-      rdata.push_back(static_cast<uint8_t>(text.size()));
-      rdata.insert(rdata.end(), text.begin(), text.end());
+      char digits[24];
+      char* end = std::to_chars(digits, digits + sizeof(digits), rr.rdata_value).ptr;
+      out->push_back(static_cast<uint8_t>(end - digits));
+      out->insert(out->end(), digits, end);
       break;
     }
     case RrType::kAny:
       break;
   }
-  PutU16(&out, static_cast<uint16_t>(rdata.size()));
-  out.insert(out.end(), rdata.begin(), rdata.end());
-  return out;
+  if (!rdata.ok()) {
+    return Status::Error("bad rdata name: " + rdata.message());
+  }
+  PatchU16(out, rdlength_at, static_cast<uint16_t>(out->size() - rdlength_at - 2));
+  return Status::Ok();
 }
 
 // Reads the type-specific rdata (RDLENGTH itself was already consumed).
@@ -420,15 +423,13 @@ Result<WireQuery> ParseWireQuery(const uint8_t* packet, size_t size) {
         StrCat("query with nonzero ANCOUNT/NSCOUNT (", ancount, "/", nscount, ")"));
   }
   query.recursion_desired = (flags & kFlagRd) != 0;
-  DnsName qname;
-  if (!reader.Name(&qname)) {
+  if (!reader.Name(&query.qname)) {
     return Result<WireQuery>::Error("malformed question name");
   }
   uint16_t qtype = 0;
   if (!reader.U16(&qtype) || !reader.U16(&query.qclass)) {
     return Result<WireQuery>::Error("truncated question");
   }
-  query.qname = qname;
   query.qtype = static_cast<RrType>(qtype);
   // Additional section: at most one OPT (root name required, RFC 6891
   // §6.1.1); anything else (TSIG-shaped trailers) is skipped structurally,
@@ -499,87 +500,87 @@ Result<std::vector<uint8_t>> EncodeWireResponse(const WireQuery& query,
     return Result<std::vector<uint8_t>>::Error("bad question name: " + qname_ok.message());
   }
 
-  // Encode every record up front; truncation then drops whole encodings.
-  std::vector<std::vector<uint8_t>> encoded[3];
-  size_t total = 0;
-  for (int s = 0; s < 3; ++s) {
-    encoded[s].reserve(sections[s]->size());
-    for (const RrView& rr : *sections[s]) {
-      Result<std::vector<uint8_t>> record = EncodeRecord(rr);
-      if (!record.ok()) {
-        return Result<std::vector<uint8_t>>::Error(
-            StrCat("cannot encode ", section_names[s], " record: ", record.error()));
-      }
-      total += record.value().size();
-      encoded[s].push_back(std::move(record).value());
+  // One output buffer, sized up front so it is allocated once and its
+  // capacity stays near its size. Per record: the owner, the 10 fixed bytes
+  // and at most an rdata name plus 21 bytes (SOA's timers; TXT's digits).
+  // The header is patched last, once the section counts are known.
+  const size_t opt_size = query.edns.present ? kEdnsOptWireSize : 0;
+  size_t bound = kHeaderSize + 1 + 4 + opt_size;  // root label, QTYPE, QCLASS, OPT
+  for (const std::string& label : query.qname.labels) {
+    bound += 1 + label.size();
+  }
+  for (const std::vector<RrView>* section : sections) {
+    for (const RrView& rr : *section) {
+      bound += (rr.name.size() + 2) + 10 + (rr.rdata_name.size() + 2) + 21;
     }
   }
+  std::vector<uint8_t> out;
+  out.reserve(std::min(bound, max_size));
+  out.resize(kHeaderSize);
+  // The question is always retained (RFC 1035 §4.1.1 — truncation drops
+  // records, never the question), and so is the response OPT when the query
+  // carried one (RFC 6891 §7), so its bytes are budgeted up front.
+  PutName(&out, query.qname);
+  PutU16(&out, static_cast<uint16_t>(query.qtype));
+  PutU16(&out, query.qclass);
+  const size_t fixed = out.size() + opt_size;
 
-  // Fixed part: header + the echoed question (always retained, RFC 1035
-  // §4.1.1 — truncation drops records, never the question) + the response
-  // OPT when the query carried one (RFC 6891 §7 — an EDNS response keeps its
-  // OPT through any truncation, so its bytes are reserved up front).
-  std::vector<uint8_t> question;
-  PutName(&question, query.qname);
-  PutU16(&question, static_cast<uint16_t>(query.qtype));
-  PutU16(&question, query.qclass);
-  size_t fixed = kHeaderSize + question.size() + (query.edns.present ? kEdnsOptWireSize : 0);
+  // Every record is encoded and checked, in section order, before the size
+  // limit is looked at. RFC-1035 truncation drops whole records back to
+  // front (additional first, then authority, then answer), which keeps the
+  // longest prefix of records that fits: `kept` records ending at `cut`.
+  size_t kept = 0;
+  size_t cut = out.size();
+  bool prefix_fits = true;
+  for (int s = 0; s < 3; ++s) {
+    for (const RrView& rr : *sections[s]) {
+      Status record = PutRecord(&out, rr);
+      if (!record.ok()) {
+        return Result<std::vector<uint8_t>>::Error(
+            StrCat("cannot encode ", section_names[s], " record: ", record.message()));
+      }
+      prefix_fits = prefix_fits && out.size() + opt_size <= max_size;
+      if (prefix_fits) {
+        ++kept;
+        cut = out.size();
+      }
+    }
+  }
   if (fixed > max_size) {
     return Result<std::vector<uint8_t>>::Error(
         StrCat("header and question alone need ", fixed, " bytes, over the limit of ",
                max_size));
   }
+  out.resize(cut);
 
-  // RFC-1035 truncation: drop whole records back to front (additional first,
-  // then authority, then answer) until the message fits, and say so with TC.
-  bool truncated = false;
-  while (fixed + total > max_size) {
-    int victim = -1;
-    for (int s = 2; s >= 0; --s) {
-      if (!encoded[s].empty()) {
-        victim = s;
-        break;
-      }
-    }
-    if (victim < 0) {
-      break;  // unreachable: fixed <= max_size was checked above
-    }
-    total -= encoded[victim].back().size();
-    encoded[victim].pop_back();
-    truncated = true;
-  }
-
-  std::vector<uint8_t> out;
-  out.reserve(fixed + total);
-  PutU16(&out, query.id);
+  PatchU16(&out, 0, query.id);
   uint16_t flags = kFlagQr;
   if (response.aa) {
     flags |= kFlagAaBit;
   }
-  if (truncated) {
+  if (!prefix_fits) {
     flags |= kFlagTcBit;
   }
   if (query.recursion_desired) {
     flags |= kFlagRd;
   }
   flags |= rcode_bits & 0xF;
-  PutU16(&out, flags);
-  PutU16(&out, 1);  // question echo
+  PatchU16(&out, 2, flags);
+  PatchU16(&out, 4, 1);  // question echo
   for (int s = 0; s < 3; ++s) {
-    size_t count = encoded[s].size() + (s == 2 && query.edns.present ? 1 : 0);
-    PutU16(&out, static_cast<uint16_t>(count));
-  }
-  out.insert(out.end(), question.begin(), question.end());
-  for (int s = 0; s < 3; ++s) {
-    for (const std::vector<uint8_t>& record : encoded[s]) {
-      out.insert(out.end(), record.begin(), record.end());
-    }
+    size_t count = std::min(kept, sections[s]->size());
+    kept -= count;
+    count += (s == 2 && query.edns.present) ? 1 : 0;  // the OPT rides in ARCOUNT
+    PatchU16(&out, 6 + 2 * s, static_cast<uint16_t>(count));
   }
   if (query.edns.present) {
     // The responder advertises its own receive capacity and echoes the
     // client's DO bit; the rcode's high bits travel here (RFC 6891 §6.1.3).
     PutOptRecord(&out, kEdnsResponderPayload, static_cast<uint8_t>(rcode_bits >> 4),
                  /*version=*/0, query.edns.dnssec_ok);
+  }
+  if (!prefix_fits) {
+    out.shrink_to_fit();  // the dropped records' bytes
   }
   return out;
 }

@@ -1,7 +1,7 @@
 #include "src/server/server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
+#include <linux/sock_diag.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -55,6 +55,12 @@ void CloseIfOpen(int* fd) {
   }
 }
 
+// Each UDP worker's receive buffer; the kernel doubles it, which holds about
+// 1,260 small queries. The default (256 queries) overflowed on host stalls of
+// a few milliseconds, and a queue the worker cannot drain within a client's
+// retry interval turns overload into failure of every query (docs/SERVER.md §1).
+constexpr int kUdpReceiveBufferBytes = 512 << 10;
+
 int MakeWorkerEpoll(int data_fd, int stop_fd, std::string* error) {
   int epoll_fd = ::epoll_create1(0);
   if (epoll_fd < 0) {
@@ -87,8 +93,7 @@ struct TcpConn {
 }  // namespace
 
 struct DnsServer::UdpWorker {
-  int fd = -1;
-  int epoll_fd = -1;
+  int fd = -1;  // blocking; Stop() wakes its recvmmsg with shutdown(SHUT_RD)
   std::unique_ptr<AuthoritativeServer> shard;
   uint64_t shard_generation = 0;
   ServerStats stats;
@@ -204,7 +209,7 @@ Status DnsServer::Bind() {
     bool udp_ok = true;
     for (int i = 0; i < config_.udp_workers; ++i) {
       auto worker = std::make_unique<UdpWorker>();
-      worker->fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+      worker->fd = ::socket(AF_INET, SOCK_DGRAM, 0);
       if (worker->fd < 0) {
         return Status::Error(StrCat("socket(udp): ", std::strerror(errno)));
       }
@@ -212,6 +217,12 @@ Status DnsServer::Bind() {
       // SO_REUSEPORT is the sharding mechanism: every worker binds the same
       // address and the kernel spreads flows across the sockets by 4-tuple.
       ::setsockopt(worker->fd, SOL_SOCKET, SO_REUSEPORT, &on, sizeof(on));
+      // SO_RCVBUFFORCE may exceed net.core.rmem_max (CAP_NET_ADMIN);
+      // SO_RCVBUF gets what the sysctl allows otherwise.
+      int rcvbuf = kUdpReceiveBufferBytes;
+      if (::setsockopt(worker->fd, SOL_SOCKET, SO_RCVBUFFORCE, &rcvbuf, sizeof(rcvbuf)) != 0) {
+        ::setsockopt(worker->fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+      }
       sockaddr_in addr{};
       if (!MakeAddr(config_.bind_ip, port, &addr)) {
         return Status::Error("bad bind address: " + config_.bind_ip);
@@ -224,12 +235,6 @@ Status DnsServer::Bind() {
       }
       if (port == 0) {
         port = BoundPort(worker->fd);  // no TCP: first worker learns the port
-      }
-      worker->epoll_fd = MakeWorkerEpoll(worker->fd, stop_event_, &error);
-      if (worker->epoll_fd < 0) {
-        ::close(worker->fd);
-        udp_ok = false;
-        break;
       }
       udp_workers_.push_back(std::move(worker));
     }
@@ -248,7 +253,6 @@ Status DnsServer::Bind() {
 void DnsServer::CloseSockets() {
   for (auto& worker : udp_workers_) {
     CloseIfOpen(&worker->fd);
-    CloseIfOpen(&worker->epoll_fd);
   }
   udp_workers_.clear();
   if (tcp_worker_ != nullptr) {
@@ -259,107 +263,74 @@ void DnsServer::CloseSockets() {
 }
 
 void DnsServer::RefreshShard(std::unique_ptr<AuthoritativeServer>* shard,
-                             uint64_t* shard_generation, ServerStats* stats) {
-  uint64_t generation = snapshots_.generation();
-  if (generation != *shard_generation) {
+                             uint64_t* shard_generation) {
+  if (snapshots_.generation() != *shard_generation) {
     std::shared_ptr<const ZoneSnapshot> snapshot = snapshots_.Load();
     *shard = snapshot->BuildShard(config_.version, config_.backend);
     *shard_generation = snapshot->generation;
-    return;
-  }
-  if ((*shard)->memory().num_blocks() > config_.shard_memory_limit_blocks) {
-    // Heap hygiene, defense in depth: the engine reclaims query-scoped
-    // blocks after each lookup, so a steady-state shard should never grow —
-    // but if it does anyway, rebuild it from the snapshot rather than let
-    // it balloon.
-    std::shared_ptr<const ZoneSnapshot> snapshot = snapshots_.Load();
-    *shard = snapshot->BuildShard(config_.version, config_.backend);
-    *shard_generation = snapshot->generation;
-    stats->shard_rebuilds.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void DnsServer::UdpLoop(UdpWorker* worker) {
-  // Datagrams are pulled and answered in batches of up to kUdpBatch via
-  // recvmmsg/sendmmsg, so a loaded socket pays one syscall pair per batch
-  // instead of per query. Responses stay in arrival order, and an empty
-  // batch falls back to epoll_wait exactly like the one-at-a-time loop did.
+  // Two syscalls per wakeup: recvmmsg blocks until one datagram arrives and
+  // then takes whatever else is queued, up to kUdpBatch (MSG_WAITFORONE); one
+  // sendmmsg answers the batch in arrival order. Stop() wakes a blocked worker
+  // by shutting the socket's read side; recvmmsg then returns at once.
   constexpr int kUdpBatch = 16;
-  epoll_event events[8];
-  static_assert(kUdpBatch >= 1);
   std::vector<std::array<uint8_t, 4096>> buffers(kUdpBatch);
   std::vector<ServeOutcome> outcomes(kUdpBatch);
-  mmsghdr recv_msgs[kUdpBatch];
-  mmsghdr send_msgs[kUdpBatch];
+  mmsghdr recv_msgs[kUdpBatch] = {};
+  mmsghdr send_msgs[kUdpBatch] = {};
   iovec recv_iovs[kUdpBatch];
   iovec send_iovs[kUdpBatch];
   sockaddr_in peers[kUdpBatch];
+  for (int i = 0; i < kUdpBatch; ++i) {
+    recv_iovs[i] = {buffers[i].data(), buffers[i].size()};
+    recv_msgs[i].msg_hdr.msg_name = &peers[i];
+    recv_msgs[i].msg_hdr.msg_iov = &recv_iovs[i];
+    recv_msgs[i].msg_hdr.msg_iovlen = 1;
+    send_msgs[i].msg_hdr.msg_iov = &send_iovs[i];
+    send_msgs[i].msg_hdr.msg_iovlen = 1;
+  }
   while (!stopping_.load(std::memory_order_relaxed)) {
-    int ready = ::epoll_wait(worker->epoll_fd, events, 8, 500);
-    if (ready < 0 && errno != EINTR) {
-      break;
+    for (mmsghdr& msg : recv_msgs) {
+      msg.msg_hdr.msg_namelen = sizeof(sockaddr_in);  // recvmmsg overwrites it
     }
-    if (stopping_.load(std::memory_order_relaxed)) {
-      break;
+    int got = ::recvmmsg(worker->fd, recv_msgs, kUdpBatch, MSG_WAITFORONE, nullptr);
+    if (got < 0) {
+      continue;  // EINTR; the stop flag is re-checked above
     }
-    bool readable = false;
-    for (int i = 0; i < ready; ++i) {
-      if (events[i].data.fd == worker->fd) {
-        readable = true;
+    int to_send = 0;
+    for (int i = 0; i < got; ++i) {
+      size_t n = recv_msgs[i].msg_len;
+      if (n == 0) {
+        continue;  // zero-length datagram (or the stop wakeup): nothing owed
       }
+      RefreshShard(&worker->shard, &worker->shard_generation);
+      Clock::time_point started = Clock::now();
+      // The cache generation is the generation this worker's shard was
+      // just refreshed to: a cached answer is served only if it matches
+      // what this shard would compute right now.
+      ServeContext ctx{cache_.get(), worker->shard_generation};
+      outcomes[to_send] = ServePacket(worker->shard.get(), buffers[i].data(), n,
+                                      config_.udp_payload_limit, &worker->stats, ctx);
+      worker->stats.udp_queries.fetch_add(1, std::memory_order_relaxed);
+      worker->stats.RecordLatencyUs(ElapsedUs(started));
+      const std::vector<uint8_t>& wire = outcomes[to_send].wire;
+      send_iovs[to_send] = {const_cast<uint8_t*>(wire.data()), wire.size()};
+      send_msgs[to_send].msg_hdr.msg_name = &peers[i];
+      send_msgs[to_send].msg_hdr.msg_namelen = recv_msgs[i].msg_hdr.msg_namelen;
+      ++to_send;
     }
-    if (!readable) {
-      continue;
-    }
-    while (true) {
-      // recvmmsg rewrites msg_len/msg_namelen, so the headers are rebuilt
-      // for every batch.
-      for (int i = 0; i < kUdpBatch; ++i) {
-        recv_iovs[i] = {buffers[i].data(), buffers[i].size()};
-        std::memset(&recv_msgs[i], 0, sizeof(recv_msgs[i]));
-        recv_msgs[i].msg_hdr.msg_name = &peers[i];
-        recv_msgs[i].msg_hdr.msg_namelen = sizeof(peers[i]);
-        recv_msgs[i].msg_hdr.msg_iov = &recv_iovs[i];
-        recv_msgs[i].msg_hdr.msg_iovlen = 1;
+    // Best-effort like sendto on a non-blocking socket: a failed send drops
+    // that response and the client retries, but later responses still go
+    // out, and a full send buffer never stalls the worker.
+    for (int done = 0; done < to_send;) {
+      int sent = ::sendmmsg(worker->fd, send_msgs + done, to_send - done, MSG_DONTWAIT);
+      if (sent <= 0) {
+        break;
       }
-      int got = ::recvmmsg(worker->fd, recv_msgs, kUdpBatch, MSG_DONTWAIT, nullptr);
-      if (got <= 0) {
-        break;  // EAGAIN: drained
-      }
-      int to_send = 0;
-      for (int i = 0; i < got; ++i) {
-        size_t n = recv_msgs[i].msg_len;
-        if (n == 0) {
-          continue;  // zero-length datagram: nothing to parse, nothing owed
-        }
-        RefreshShard(&worker->shard, &worker->shard_generation, &worker->stats);
-        Clock::time_point started = Clock::now();
-        // The cache generation is the generation this worker's shard was
-        // just refreshed to: a cached answer is served only if it matches
-        // what this shard would compute right now.
-        ServeContext ctx{cache_.get(), worker->shard_generation};
-        outcomes[to_send] = ServePacket(worker->shard.get(), buffers[i].data(), n,
-                                        config_.udp_payload_limit, &worker->stats, ctx);
-        worker->stats.udp_queries.fetch_add(1, std::memory_order_relaxed);
-        worker->stats.RecordLatencyUs(ElapsedUs(started));
-        const std::vector<uint8_t>& wire = outcomes[to_send].wire;
-        send_iovs[to_send] = {const_cast<uint8_t*>(wire.data()), wire.size()};
-        std::memset(&send_msgs[to_send], 0, sizeof(send_msgs[to_send]));
-        send_msgs[to_send].msg_hdr.msg_name = &peers[i];
-        send_msgs[to_send].msg_hdr.msg_namelen = recv_msgs[i].msg_hdr.msg_namelen;
-        send_msgs[to_send].msg_hdr.msg_iov = &send_iovs[to_send];
-        send_msgs[to_send].msg_hdr.msg_iovlen = 1;
-        ++to_send;
-      }
-      // Best-effort like the old sendto: a failed send drops that response
-      // and the client retries, but later responses still go out.
-      for (int done = 0; done < to_send;) {
-        int sent = ::sendmmsg(worker->fd, send_msgs + done, to_send - done, 0);
-        if (sent <= 0) {
-          break;
-        }
-        done += sent;
-      }
+      done += sent;
     }
   }
 }
@@ -408,10 +379,39 @@ void DnsServer::TcpLoop() {
     }
     return true;
   };
+  // Accepts every connection waiting in the listen backlog.
+  auto accept_pending = [&] {
+    while (true) {
+      int conn_fd = ::accept4(tcp->listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
+      if (conn_fd < 0) {
+        return;
+      }
+      if (conns.size() >= static_cast<size_t>(config_.max_tcp_connections)) {
+        tcp->stats.tcp_rejected.fetch_add(1, std::memory_order_relaxed);
+        ::close(conn_fd);
+        continue;
+      }
+      int on = 1;
+      ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = conn_fd;
+      if (::epoll_ctl(tcp->epoll_fd, EPOLL_CTL_ADD, conn_fd, &ev) != 0) {
+        ::close(conn_fd);
+        continue;
+      }
+      conns[conn_fd].last_active = Clock::now();
+      tcp->stats.tcp_connections.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
 
   while (true) {
     if (stopping_.load(std::memory_order_relaxed) && !draining) {
       // Graceful shutdown: stop accepting, keep serving what is connected.
+      // A client whose connect() completed before Stop() is connected even
+      // if this worker has not accepted it yet, so the backlog is taken in
+      // once before the listener goes.
+      accept_pending();
       draining = true;
       drain_deadline = Clock::now() +
                        std::chrono::milliseconds(config_.drain_timeout_ms);
@@ -430,28 +430,7 @@ void DnsServer::TcpLoop() {
         continue;  // the flag is re-checked at the top of the loop
       }
       if (fd == tcp->listen_fd) {
-        while (true) {
-          int conn_fd = ::accept4(tcp->listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-          if (conn_fd < 0) {
-            break;
-          }
-          if (draining || conns.size() >= static_cast<size_t>(config_.max_tcp_connections)) {
-            tcp->stats.tcp_rejected.fetch_add(1, std::memory_order_relaxed);
-            ::close(conn_fd);
-            continue;
-          }
-          int on = 1;
-          ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = conn_fd;
-          if (::epoll_ctl(tcp->epoll_fd, EPOLL_CTL_ADD, conn_fd, &ev) != 0) {
-            ::close(conn_fd);
-            continue;
-          }
-          conns[conn_fd].last_active = Clock::now();
-          tcp->stats.tcp_connections.fetch_add(1, std::memory_order_relaxed);
-        }
+        accept_pending();
         continue;
       }
       auto it = conns.find(fd);
@@ -486,7 +465,7 @@ void DnsServer::TcpLoop() {
       }
       std::vector<uint8_t> message;
       while (conn->decoder.Next(&message)) {
-        RefreshShard(&tcp->shard, &tcp->shard_generation, &tcp->stats);
+        RefreshShard(&tcp->shard, &tcp->shard_generation);
         Clock::time_point started = Clock::now();
         // The TCP path encodes against kMaxTcpPayload — this is the channel
         // that serves in full what the UDP clamp truncated (TC=1). The
@@ -535,6 +514,12 @@ void DnsServer::Stop() {
   }
   stopped_ = true;
   stopping_.store(true, std::memory_order_relaxed);
+  // Shutting the read side wakes a UDP worker blocked in recvmmsg, even on
+  // an unconnected socket (the call itself reports ENOTCONN); the TCP worker
+  // waits in epoll and is woken by the stop eventfd.
+  for (auto& worker : udp_workers_) {
+    ::shutdown(worker->fd, SHUT_RD);
+  }
   uint64_t one = 1;
   [[maybe_unused]] ssize_t written = ::write(stop_event_, &one, sizeof(one));
   for (auto& worker : udp_workers_) {
@@ -545,9 +530,9 @@ void DnsServer::Stop() {
   if (tcp_worker_ != nullptr && tcp_worker_->thread.joinable()) {
     tcp_worker_->thread.join();
   }
+  final_udp_rx_drops_ = UdpRxDrops();
   for (auto& worker : udp_workers_) {
     CloseIfOpen(&worker->fd);
-    CloseIfOpen(&worker->epoll_fd);
   }
   if (tcp_worker_ != nullptr) {
     CloseIfOpen(&tcp_worker_->listen_fd);
@@ -576,12 +561,25 @@ Status DnsServer::ReloadFromFile(const std::string& path) {
   return Reload(parsed.value(), path);
 }
 
+uint64_t DnsServer::UdpRxDrops() const {
+  uint64_t drops = 0;
+  for (const auto& worker : udp_workers_) {
+    uint32_t meminfo[SK_MEMINFO_VARS] = {};
+    socklen_t len = sizeof(meminfo);
+    if (::getsockopt(worker->fd, SOL_SOCKET, SO_MEMINFO, meminfo, &len) == 0) {
+      drops += meminfo[SK_MEMINFO_DROPS];
+    }
+  }
+  return drops;
+}
+
 StatsSnapshot DnsServer::Stats() const {
   StatsSnapshot snapshot;
   snapshot.generation = snapshots_.generation();
   for (const auto& worker : udp_workers_) {
     snapshot.Add(worker->stats);
   }
+  snapshot.udp_rx_drops = stopped_ ? final_udp_rx_drops_ : UdpRxDrops();
   if (tcp_worker_ != nullptr) {
     snapshot.Add(tcp_worker_->stats);
   }

@@ -8,9 +8,10 @@
 // EncodeWireResponse. The shell adds what the paper leaves to conventional
 // engineering:
 //
-//   * N sharded UDP workers, each with its own SO_REUSEPORT socket, epoll
-//     loop, and private AuthoritativeServer shard (the interpreter mutates
-//     its ConcreteMemory per query, so shards are never shared).
+//   * N sharded UDP workers, each with its own SO_REUSEPORT socket (blocking
+//     recvmmsg in, sendmmsg out) and private AuthoritativeServer shard (the
+//     interpreter mutates its ConcreteMemory per query, so shards are never
+//     shared).
 //   * A TCP listener (RFC 1035 §4.2.2 two-byte-length framing) with a
 //     connection cap and per-connection idle timeouts, so a TC=1 UDP answer
 //     can be retried over TCP and served in full (no 512-byte clamp).
@@ -55,10 +56,6 @@ struct ServerConfig {
   // interp-vs-compiled differential — but compiled shards answer much faster.
   BackendKind backend = BackendKind::kInterp;
   size_t udp_payload_limit = kMaxUdpPayload;
-  // A worker rebuilds its shard once the shard's interpreter heap exceeds
-  // this many blocks: the concrete interpreter allocates per query and never
-  // frees, so unbounded serving would otherwise balloon memory.
-  size_t shard_memory_limit_blocks = size_t{1} << 20;
   // Capacity of the shared response packet cache (src/server/cache.h); 0
   // disables it. All workers share one cache — entries are keyed on the
   // case-folded question and stamped with the worker's snapshot generation,
@@ -92,7 +89,9 @@ class DnsServer {
   uint16_t tcp_port() const { return tcp_port_; }
   uint64_t generation() const { return snapshots_.generation(); }
 
-  // Folds every worker's stats block into one snapshot.
+  // Folds every worker's stats block into one snapshot, plus the kernel's
+  // receive-buffer drop count for the UDP sockets (udp_rx_drops). Safe while
+  // the workers serve; not concurrently with Stop(), which closes the sockets.
   StatsSnapshot Stats() const;
   std::string StatsJson() const { return Stats().ToJson(); }
 
@@ -107,18 +106,19 @@ class DnsServer {
   void CloseSockets();  // releases a partially bound socket set (Bind retry)
   void UdpLoop(UdpWorker* worker);
   void TcpLoop();
+  // Datagrams the kernel dropped at the UDP sockets' full receive buffers.
+  uint64_t UdpRxDrops() const;
   // Rebuilds `shard` when the published generation moved past
-  // `shard_generation`, or when the shard's interpreter heap outgrew
-  // shard_memory_limit_blocks (counted in `stats.shard_rebuilds`).
-  void RefreshShard(std::unique_ptr<AuthoritativeServer>* shard, uint64_t* shard_generation,
-                    ServerStats* stats);
+  // `shard_generation`.
+  void RefreshShard(std::unique_ptr<AuthoritativeServer>* shard, uint64_t* shard_generation);
 
   ServerConfig config_;
   SnapshotHolder snapshots_;
   std::unique_ptr<PacketCache> cache_;  // null when cache_entries == 0
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;
-  int stop_event_ = -1;  // eventfd in every epoll set; written once by Stop()
+  uint64_t final_udp_rx_drops_ = 0;  // UdpRxDrops() as Stop() closed the sockets
+  int stop_event_ = -1;  // eventfd in the TCP worker's epoll set; written once by Stop()
   uint16_t udp_port_ = 0;
   uint16_t tcp_port_ = 0;
   std::vector<std::unique_ptr<UdpWorker>> udp_workers_;

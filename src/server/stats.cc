@@ -30,7 +30,6 @@ void StatsSnapshot::Add(const ServerStats& worker) {
   tcp_connections += get(worker.tcp_connections);
   tcp_rejected += get(worker.tcp_rejected);
   tcp_timeouts += get(worker.tcp_timeouts);
-  shard_rebuilds += get(worker.shard_rebuilds);
   cache_hits += get(worker.cache_hits);
   cache_misses += get(worker.cache_misses);
   cache_stale += get(worker.cache_stale);
@@ -88,7 +87,7 @@ std::string StatsSnapshot::ToJson() const {
   field("tcp_connections", tcp_connections);
   field("tcp_rejected", tcp_rejected);
   field("tcp_timeouts", tcp_timeouts);
-  field("shard_rebuilds", shard_rebuilds);
+  field("udp_rx_drops", udp_rx_drops);
   field("cache_hits", cache_hits);
   field("cache_misses", cache_misses);
   field("cache_stale", cache_stale);

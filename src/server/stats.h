@@ -35,7 +35,6 @@ struct alignas(64) ServerStats {
   std::atomic<uint64_t> tcp_connections{0};   // accepted
   std::atomic<uint64_t> tcp_rejected{0};      // refused over the connection cap
   std::atomic<uint64_t> tcp_timeouts{0};      // idle connections reaped
-  std::atomic<uint64_t> shard_rebuilds{0};    // interpreter-heap hygiene rebuilds
   std::atomic<uint64_t> cache_hits{0};        // served from the packet cache
   std::atomic<uint64_t> cache_misses{0};      // cache consulted, engine ran
   std::atomic<uint64_t> cache_stale{0};       // expired or wrong-generation entry erased
@@ -64,13 +63,15 @@ struct StatsSnapshot {
   uint64_t tcp_connections = 0;
   uint64_t tcp_rejected = 0;
   uint64_t tcp_timeouts = 0;
-  uint64_t shard_rebuilds = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_stale = 0;
   uint64_t cache_inserts = 0;
   uint64_t cache_evictions = 0;
   uint64_t generation = 0;  // zone snapshot generation at capture time
+  // Datagrams the kernel dropped because a UDP worker's receive buffer was
+  // full (SO_MEMINFO, read at capture time; not part of Add).
+  uint64_t udp_rx_drops = 0;
   std::array<uint64_t, 16> rcodes{};
   std::array<uint64_t, kLatencyBuckets> latency{};
 

@@ -453,6 +453,136 @@ TEST(WireTruncation, SectionCountOverflowIsRejected) {
   EXPECT_NE(encoded.error().find("overflow"), std::string::npos) << encoded.error();
 }
 
+// --- pinned encoder output ---
+//
+// One FNV-1a 64 digest per engine version over EncodeWireResponse for that
+// version's answers to the kitchen-sink vocabulary, at payload limits from
+// below the question floor (an error) through truncation to 4096, with and
+// without EDNS. Any change in bytes, TC bits, section counts or error text
+// shows up here.
+uint64_t EncoderDigest(EngineVersion version) {
+  static const char* const kOwners[] = {
+      "example.com",          "ns1.example.com",      "ns2.example.com",
+      "mail.example.com",     "www.example.com",      "alias.example.com",
+      "chain.example.com",    "sub.example.com",      "ns1.sub.example.com",
+      "ns2.sub.example.com",  "ent.example.com",      "leaf.ent.example.com",
+      "dyn.example.com",      "k3x9q.dyn.example.com", "p0.w7.dyn.example.com",
+      "deep.sub.example.com", "zq81m.example.com",    "r2d2x.www.example.com",
+      "v55t.ent.example.com"};
+  static const RrType kTypes[] = {RrType::kA,  RrType::kAaaa, RrType::kMx, RrType::kTxt,
+                                  RrType::kNs, RrType::kSoa,  RrType::kAny};
+  static const size_t kLimits[] = {40, 64, 96, 128, 192, 256, 384, 512, 1232, 2048, 4096};
+  std::unique_ptr<AuthoritativeServer> server =
+      std::move(AuthoritativeServer::Create(version, KitchenSinkZone()).value());
+  uint64_t hash = 0xcbf29ce484222325ull;
+  auto mix = [&hash](const uint8_t* data, size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ data[i]) * 0x100000001b3ull;
+    }
+    hash = (hash ^ (size & 0xff)) * 0x100000001b3ull;
+  };
+  uint16_t id = 0;
+  for (const char* owner : kOwners) {
+    for (RrType type : kTypes) {
+      WireQuery query = MakeQuery(owner, type, ++id);
+      query.recursion_desired = (id & 1) != 0;
+      QueryResult result = server->Query(query.qname, type);
+      if (result.panicked) {
+        mix(reinterpret_cast<const uint8_t*>("panic"), 5);
+        continue;
+      }
+      for (bool edns : {false, true}) {
+        query.edns.present = edns;
+        query.edns.udp_payload = 1232;
+        query.edns.dnssec_ok = (id & 2) != 0;
+        for (size_t limit : kLimits) {
+          Result<std::vector<uint8_t>> encoded = EncodeWireResponse(query, result.response, limit);
+          if (encoded.ok()) {
+            mix(encoded.value().data(), encoded.value().size());
+          } else {
+            mix(reinterpret_cast<const uint8_t*>(encoded.error().data()), encoded.error().size());
+          }
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(WireEncoderDigest, OutputIsPinnedPerEngineVersion) {
+  const std::pair<EngineVersion, uint64_t> kPinned[] = {
+      {EngineVersion::kV1, 0x554c0c1dd02702caull},
+      {EngineVersion::kV2, 0x6b01f0d2fbc75880ull},
+      {EngineVersion::kV3, 0xf5cee5faac555cd4ull},
+      {EngineVersion::kDev, 0x79307a182347cbd5ull},
+      {EngineVersion::kGolden, 0xf5cee5faac555cd4ull},
+      {EngineVersion::kV4, 0xf5cee5faac555cd4ull},
+      {EngineVersion::kV5, 0xf5cee5faac555cd4ull},
+  };
+  for (const auto& [version, digest] : kPinned) {
+    const uint64_t actual = EncoderDigest(version);
+    EXPECT_EQ(actual, digest) << EngineVersionName(version) << std::hex << " digest 0x" << actual;
+  }
+}
+
+// Error text and precedence, byte for byte: the first bad record in section
+// order names its section and side; every record is checked before the size
+// limit; within one name an empty label outranks an overlong one.
+TEST(WireEncodeErrors, ExactTextForBadOwnerAndRdataNames) {
+  WireQuery query = MakeQuery("www.example.com", RrType::kA);
+  const std::string long_label(64, 'a');
+  auto error_for = [&](const ResponseView& response, size_t limit = kMaxUdpPayload) {
+    Result<std::vector<uint8_t>> encoded = EncodeWireResponse(query, response, limit);
+    return encoded.ok() ? std::string("ok") : encoded.error();
+  };
+  ResponseView response;
+  response.answer.push_back(RrView{.name = long_label + ".example.com",
+                                   .type = RrType::kA,
+                                   .rdata_value = 0,
+                                   .rdata_name = ""});
+  EXPECT_EQ(error_for(response),
+            "cannot encode answer record: bad owner name: label of 64 bytes (wire labels are "
+            "1..63) in name: " + long_label + ".example.com");
+  response.answer[0] = RrView{
+      .name = "www.example.com", .type = RrType::kA, .rdata_value = 0, .rdata_name = ""};
+  response.authority.push_back(
+      RrView{.name = "example.com", .type = RrType::kNs, .rdata_name = "ns1..example.com"});
+  EXPECT_EQ(error_for(response),
+            "cannot encode authority record: bad rdata name: empty label in name: "
+            "ns1..example.com");
+  response.authority[0].rdata_name = long_label + ".x..example.com";
+  EXPECT_EQ(error_for(response),
+            "cannot encode authority record: bad rdata name: empty label in name: " +
+                long_label + ".x..example.com");
+  response.authority[0].rdata_name = "ns1.example.com.";
+  EXPECT_EQ(error_for(response),
+            "cannot encode authority record: bad rdata name: empty label in name: "
+            "ns1.example.com.");
+  response.authority.clear();
+  std::string deep;
+  for (int i = 0; i < 130; ++i) {
+    deep += "aa.";
+  }
+  response.additional.push_back(RrView{.name = "mail.example.com",
+                                       .type = RrType::kMx,
+                                       .rdata_value = 10,
+                                       .rdata_name = deep + "com"});
+  EXPECT_EQ(error_for(response),
+            "cannot encode additional record: bad rdata name: name of 395 wire bytes (limit "
+            "255): " + deep + "com");
+  // A bad record outranks a limit the header and question alone overflow.
+  EXPECT_EQ(error_for(response, 16).substr(0, 31), "cannot encode additional record");
+  response.additional.clear();
+  EXPECT_EQ(error_for(response, 16),
+            "header and question alone need 33 bytes, over the limit of 16");
+  // The root owner and an SOA with a root target are valid.
+  response.answer[0] =
+      RrView{.name = ".", .type = RrType::kSoa, .rdata_value = 7, .rdata_name = ""};
+  EXPECT_EQ(error_for(response), "ok");
+  response.answer[0].name = "";
+  EXPECT_EQ(error_for(response), "ok");
+}
+
 TEST(WireHexDump, Formats) {
   std::vector<uint8_t> data = {0x00, 0xff, 0x10};
   EXPECT_EQ(HexDump(data), "00 ff 10\n");

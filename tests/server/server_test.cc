@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -244,6 +245,7 @@ TEST(DnsServerTest, MultiWorkerLoadAnswersConsistently) {
   StatsSnapshot stats = server->Stats();
   EXPECT_EQ(stats.udp_queries, static_cast<uint64_t>(kThreads * kQueriesPerThread));
   EXPECT_EQ(stats.rcodes[0], stats.udp_queries);
+  EXPECT_EQ(stats.udp_rx_drops, 0u);
 }
 
 TEST(DnsServerTest, HotReloadSwapsZonesWithoutDroppingQueries) {
@@ -448,6 +450,7 @@ TEST(DnsServerTest, MalformedFloodLeavesStatsConsistentAndProcessAlive) {
   EXPECT_EQ(rcode_total + stats.badvers_responses, stats.queries());
   EXPECT_GT(stats.badvers_responses, 0u);
   EXPECT_EQ(stats.servfail_fallbacks, 0u);  // corpus packets never reach the fallback
+  EXPECT_EQ(stats.udp_rx_drops, 0u);
 }
 
 TEST(DnsServerTest, TcpConnectionCapRejectsTheExcessConnection) {
@@ -549,23 +552,82 @@ TEST(DnsServerTest, GracefulShutdownDrainsTheInFlightTcpQuery) {
   EXPECT_EQ(echoed.id, 0x8888);
 }
 
-TEST(DnsServerTest, ShardMemoryHygieneRebuildsWithoutChangingAnswers) {
+TEST(DnsServerTest, WorkerShardHeapStaysFlatOverTenThousandQueries) {
+  // A worker serves from its shard for as long as the zone generation holds,
+  // with no rebuild to fall back on: the engine must reclaim every
+  // query-scoped heap block itself, on both backends.
+  const char* const kQuestions[] = {"www.example.com",      "chain.example.com",
+                                    "deep.sub.example.com", "host.dyn.example.com",
+                                    "missing.example.com",  "ent.example.com",
+                                    "example.com"};
+  const RrType kTypes[] = {RrType::kA, RrType::kMx, RrType::kAny};
+  std::vector<std::vector<uint8_t>> packets;
+  for (const char* qname : kQuestions) {
+    for (RrType type : kTypes) {
+      packets.push_back(QueryPacket(qname, type, static_cast<uint16_t>(packets.size())));
+    }
+  }
+  for (BackendKind backend : {BackendKind::kInterp, BackendKind::kCompiled}) {
+    SCOPED_TRACE(BackendKindName(backend));
+    SnapshotHolder snapshots;
+    Status published =
+        snapshots.Publish(EngineVersion::kGolden, KitchenSinkZone(), "<test>", backend);
+    ASSERT_TRUE(published.ok()) << published.message();
+    std::unique_ptr<AuthoritativeServer> shard =
+        snapshots.Load()->BuildShard(EngineVersion::kGolden, backend);
+    for (const std::vector<uint8_t>& packet : packets) {
+      ServePacket(shard.get(), packet.data(), packet.size(), kMaxUdpPayload, nullptr);
+    }
+    const size_t warm_blocks = shard->memory().num_blocks();
+    for (int i = 0; i < 10000; ++i) {
+      const std::vector<uint8_t>& packet = packets[i % packets.size()];
+      ServeOutcome outcome =
+          ServePacket(shard.get(), packet.data(), packet.size(), kMaxUdpPayload, nullptr);
+      ASSERT_FALSE(outcome.wire.empty());
+    }
+    EXPECT_EQ(shard->memory().num_blocks(), warm_blocks);
+  }
+}
+
+TEST(DnsServerTest, StopWakesIdleWorkersPromptly) {
+  // Idle UDP workers block in recvmmsg with no timeout; Stop() must wake
+  // each of them (shutdown of the read side), not wait out a poll interval.
   ServerConfig config;
-  // Below the zone image's own block count: the engine reclaims query-scoped
-  // blocks itself nowadays, so only a limit this tiny still trips the
-  // serving shell's defense-in-depth rebuild.
-  config.shard_memory_limit_blocks = 8;
+  config.udp_workers = 4;
+  START_OR_SKIP(server, config, KitchenSinkZone());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let workers block
+  auto begin = std::chrono::steady_clock::now();
+  server->Stop();
+  auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+}
+
+TEST(DnsServerTest, ZeroLengthDatagramGetsNoAnswerAndTheWorkerKeepsServing) {
+  ServerConfig config;
   ZoneConfig zone = KitchenSinkZone();
   START_OR_SKIP(server, config, zone);
-  const std::vector<uint8_t> request = QueryPacket("www.example.com", RrType::kA, 0x9999);
-  const std::vector<uint8_t> expected =
-      ReferenceAnswer(zone, "www.example.com", RrType::kA, 0x9999, kMaxUdpPayload);
-  for (int i = 0; i < 30; ++i) {
-    std::vector<uint8_t> reply = UdpExchange(server->udp_port(), request);
-    ASSERT_FALSE(reply.empty()) << "query " << i;
-    EXPECT_EQ(reply, expected) << "query " << i;
-  }
-  EXPECT_GE(server->Stats().shard_rebuilds, 1u);
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr = Loopback(server->udp_port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  timeval short_wait{};
+  short_wait.tv_usec = 200 * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &short_wait, sizeof(short_wait));
+  ASSERT_EQ(::send(fd, nullptr, 0, 0), 0);
+  uint8_t buffer[4096];
+  EXPECT_LT(::recv(fd, buffer, sizeof(buffer), 0), 0) << "a zero-length datagram is owed nothing";
+
+  // The same worker (one UDP worker) still answers a real query.
+  SetRecvTimeout(fd, 5);
+  const std::vector<uint8_t> request = QueryPacket("www.example.com", RrType::kA, 0x7777);
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+  ::close(fd);
+  ASSERT_GT(n, 0);
+  EXPECT_EQ(std::vector<uint8_t>(buffer, buffer + n),
+            ReferenceAnswer(zone, "www.example.com", RrType::kA, 0x7777, kMaxUdpPayload));
+  EXPECT_EQ(server->Stats().udp_queries, 1u);
 }
 
 TEST(DnsServerTest, StartRejectsAnInvalidZone) {

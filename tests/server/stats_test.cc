@@ -89,6 +89,7 @@ TEST(ServerStatsTest, JsonCarriesEveryCounterAndOnlyNonZeroRcodes) {
   snapshot.cache_stale = 4;
   snapshot.cache_inserts = 9;
   snapshot.cache_evictions = 1;
+  snapshot.udp_rx_drops = 5;
   std::string json = snapshot.ToJson();
   EXPECT_NE(json.find("\"generation\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"udp_queries\": 41"), std::string::npos) << json;
@@ -99,6 +100,7 @@ TEST(ServerStatsTest, JsonCarriesEveryCounterAndOnlyNonZeroRcodes) {
   EXPECT_NE(json.find("\"cache_stale\": 4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"cache_inserts\": 9"), std::string::npos) << json;
   EXPECT_NE(json.find("\"cache_evictions\": 1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"udp_rx_drops\": 5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"rcodes\": {\"0\": 40, \"2\": 2}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p99_us\": 8"), std::string::npos) << json;
   EXPECT_EQ(json.find("\"3\":"), std::string::npos) << "zero rcodes must be omitted: " << json;
