@@ -70,9 +70,9 @@ ns.sub A   192.0.2.9
     std::printf("%-24s %8zu | %10.3f %10lld %10lld | %10.3f %10lld %10lld | %s\n",
                 test_case.name.c_str(), test_case.zone.records.size(), mono.total_seconds,
                 static_cast<long long>(mono.engine_paths),
-                static_cast<long long>(mono.solver_checks), summ.total_seconds,
+                static_cast<long long>(mono.solver.z3_checks), summ.total_seconds,
                 static_cast<long long>(summ.engine_paths),
-                static_cast<long long>(summ.solver_checks), agreement);
+                static_cast<long long>(summ.solver.z3_checks), agreement);
   }
   std::printf(
       "\nfinding: both modes agree on every verdict and explore the same path set.\n"

@@ -6,14 +6,18 @@
 //           the store, byte-identical, with ZERO new Z3 checks
 //   shadow  one version re-verified from scratch under StoreMode::kShadow,
 //           which asserts byte-identity against the stored report
-//   edit    cold-verify v3.0 into a fresh store, then verify dev against it:
-//           only the layers whose function cones changed may be recomputed
+//   edit    cold-verify v3.0 into a fresh store, then verify dev against it
+//           in the same VerifyContext: only the layers whose function cones
+//           changed may be recomputed, and dev reuses v3.0's spec
+//           exploration (same rrlookup cone), paying only explore.engine
+//           and compare
 //
 // The harness is an acceptance gate, not just a stopwatch: it exits nonzero
 // if any warm run fails to replay, any normalized report drifts between cold
 // and warm, a warm run issues a new Z3 check, warm layer reuse drops below
 // 95%, or the edit scenario loses cross-version reuse. It writes
-// BENCH_incremental.json (one record per version per phase) into the working
+// BENCH_incremental.json (one record per version per phase, with the
+// explore.engine / explore.spec / compare stage seconds) into the working
 // directory. --smoke restricts to {golden, v2.0} for the CI quick pass.
 //
 // The zone is KitchenSinkZone: unlike the Fig.-11 zone (where the interval
@@ -51,6 +55,10 @@ struct Row {
   int64_t functions_reused = 0;
   int64_t qcache_loaded = 0;
   double seconds = 0;
+  double explore_engine_s = 0;
+  double explore_spec_s = 0;
+  double compare_s = 0;
+  bool spec_from_cache = false;
   std::vector<std::string> dirty_layers;
 };
 
@@ -89,6 +97,14 @@ Row Run(VerifyContext* context, EngineVersion version, ArtifactStore* store,
   row.functions_reused = report.incremental.functions_reused;
   row.qcache_loaded = report.incremental.qcache_entries_loaded;
   row.seconds = report.total_seconds;
+  for (const StageStats& stage : report.stages) {
+    if (stage.stage == "explore.engine") row.explore_engine_s = stage.seconds;
+    if (stage.stage == "compare") row.compare_s = stage.seconds;
+    if (stage.stage == "explore.spec") {
+      row.explore_spec_s = stage.seconds;
+      row.spec_from_cache = stage.from_cache;
+    }
+  }
   row.dirty_layers = report.incremental.dirty_layers;
   Check(!report.aborted, StrCat(row.version, " ", phase, ": pipeline aborted: ",
                                 report.abort_reason));
@@ -100,14 +116,15 @@ Row Run(VerifyContext* context, EngineVersion version, ArtifactStore* store,
 
 void PrintRow(const Row& row) {
   std::printf("%-8s %-7s replay=%d %9lld z3  layers %2lld/%-2lld  fns %3lld/%-3lld  "
-              "qload %4lld  %7.3fs\n",
+              "qload %4lld  %7.3fs%s\n",
               row.version.c_str(), row.phase.c_str(), row.replayed ? 1 : 0,
               static_cast<long long>(row.z3_delta),
               static_cast<long long>(row.layers_reused),
               static_cast<long long>(row.layers_total),
               static_cast<long long>(row.functions_reused),
               static_cast<long long>(row.functions_total),
-              static_cast<long long>(row.qcache_loaded), row.seconds);
+              static_cast<long long>(row.qcache_loaded), row.seconds,
+              row.spec_from_cache ? "  (spec cached)" : "");
 }
 
 std::string JsonRecord(const Row& row) {
@@ -125,7 +142,12 @@ std::string JsonRecord(const Row& row) {
                 ", \"functions_total\": ", row.functions_total,
                 ", \"functions_reused\": ", row.functions_reused,
                 ", \"qcache_entries_loaded\": ", row.qcache_loaded,
-                ", \"seconds\": ", row.seconds, ", \"dirty_layers\": ", dirty, "}");
+                ", \"seconds\": ", row.seconds,
+                ", \"explore_engine_s\": ", row.explore_engine_s,
+                ", \"explore_spec_s\": ", row.explore_spec_s,
+                ", \"compare_s\": ", row.compare_s,
+                ", \"spec_from_cache\": ", row.spec_from_cache ? "true" : "false",
+                ", \"dirty_layers\": ", dirty, "}");
 }
 
 int RunBench(bool smoke) {
@@ -207,27 +229,30 @@ int RunBench(bool smoke) {
   // Phase 4: edit scenario. Verify v3.0 cold into a fresh store, then verify
   // dev against it. dev's sources differ from v3.0 in a few functions, so the
   // content-addressed markers must carry every untouched layer across the
-  // version boundary while the dirty cone is recomputed.
+  // version boundary while the dirty cone is recomputed. Both runs share one
+  // VerifyContext, as a developer's process would: dev's rrlookup cone is
+  // v3.0's, so its spec exploration is reused and the new version pays only
+  // explore.engine and compare.
   std::printf("\n");
   {
     ArtifactStore edit_store((root / "edit").string());
-    VerifyContext cold_context;
+    VerifyContext context;
     QueryCache::Global()->Clear();
-    Row base = Run(&cold_context, EngineVersion::kV3, &edit_store,
-                   StoreMode::kIncremental, "edit0", nullptr);
+    Row base = Run(&context, EngineVersion::kV3, &edit_store, StoreMode::kIncremental, "edit0",
+                   nullptr);
     PrintRow(base);
     rows.push_back(std::move(base));
 
-    VerifyContext warm_context;
     QueryCache::Global()->Clear();
-    Row edited = Run(&warm_context, EngineVersion::kDev, &edit_store,
-                     StoreMode::kIncremental, "edit1", nullptr);
+    Row edited = Run(&context, EngineVersion::kDev, &edit_store, StoreMode::kIncremental,
+                     "edit1", nullptr);
     Check(!edited.replayed, "edit: dev after v3.0 must not replay v3.0's report");
     Check(edited.layers_reused > 0,
           "edit: no cross-version layer reuse (markers not content-addressed?)");
     Check(edited.layers_reused < edited.layers_total,
           "edit: dev reused every layer despite differing from v3.0");
     Check(!edited.dirty_layers.empty(), "edit: dirty layer set is empty");
+    Check(edited.spec_from_cache, "edit: dev did not reuse v3.0's spec exploration");
     std::string dirty = JoinStrings(edited.dirty_layers, ", ");
     std::printf("edit: dev vs v3.0 store — dirty layers: %s\n", dirty.c_str());
     PrintRow(edited);

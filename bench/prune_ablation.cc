@@ -92,16 +92,16 @@ int RunAblation() {
     }
     // Monotonicity gate: the interprocedural facts may only help.
     if (row.interproc.panics_discharged < row.baseline.panics_discharged ||
-        row.interproc.solver_checks > row.baseline.solver_checks) {
+        row.interproc.solver.z3_checks > row.baseline.solver.z3_checks) {
       std::printf("%-8s REGRESSION: interproc analysis did worse than baseline\n",
                   row.version);
       interproc_dominates = false;
     }
     std::printf("%-8s %7lld | %8lld %10lld %10lld | %10lld %10lld | %lld/%lld\n",
                 row.version, static_cast<long long>(row.off.engine_paths),
-                static_cast<long long>(row.off.solver_checks),
-                static_cast<long long>(row.baseline.solver_checks),
-                static_cast<long long>(row.interproc.solver_checks),
+                static_cast<long long>(row.off.solver.z3_checks),
+                static_cast<long long>(row.baseline.solver.z3_checks),
+                static_cast<long long>(row.interproc.solver.z3_checks),
                 static_cast<long long>(row.baseline.panics_discharged),
                 static_cast<long long>(row.interproc.panics_discharged),
                 static_cast<long long>(row.baseline.paths_pruned),
@@ -122,8 +122,8 @@ int RunAblation() {
       json += StrCat("  {\"version\": \"", row.version, "\", \"analysis\": \"",
                      mode.analysis, "\", \"paths_off\": ", row.off.engine_paths,
                      ", \"paths_on\": ", mode.report->engine_paths,
-                     ", \"solver_checks_off\": ", row.off.solver_checks,
-                     ", \"solver_checks_on\": ", mode.report->solver_checks,
+                     ", \"solver_checks_off\": ", row.off.solver.z3_checks,
+                     ", \"solver_checks_on\": ", mode.report->solver.z3_checks,
                      ", \"seconds_off\": ", row.off.total_seconds,
                      ", \"seconds_on\": ", mode.report->total_seconds,
                      ", \"panics_discharged\": ", mode.report->panics_discharged,

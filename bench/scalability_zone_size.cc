@@ -24,7 +24,7 @@ int RunScalability() {
     VerificationReport report = RunVerifyPipeline(&context, EngineVersion::kGolden, zone);
     std::printf("%8d %8zu %10.2f %12lld %14lld %12s\n", names, zone.records.size(),
                 report.total_seconds, static_cast<long long>(report.engine_paths),
-                static_cast<long long>(report.solver_checks),
+                static_cast<long long>(report.solver.z3_checks),
                 report.aborted ? "ABORTED" : report.verified ? "verified" : "issues");
   }
   std::printf("\nshape: super-linear in record count (engine paths x spec paths per path),\n");

@@ -3,8 +3,9 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer (DNSV_SANITIZE), then a
 # ThreadSanitizer build (DNSV_TSAN — TSan cannot share a binary with ASan)
 # driving the threaded serving shell: the tests/server/ loopback suite plus
-# the multi-worker throughput smoke, where the epoll workers, per-worker
-# stats, and snapshot swaps actually race if they are going to.
+# the multi-worker throughput smoke, where the UDP workers (each blocked in
+# recvmmsg), per-worker stats, and snapshot swaps actually race if they are
+# going to.
 #
 #   $ ci/check.sh            # all passes
 #   $ ci/check.sh --fast     # normal pass only
@@ -37,7 +38,8 @@ run_pass() {
   # Serving-shell gate (docs/SERVER.md): a short loopback UDP throughput run
   # at 1 worker vs N workers. Emits BENCH_server.json with the single- vs
   # multi-worker queries/sec; under the sanitized pass this doubles as a race
-  # check on the epoll workers, the stats blocks, and the snapshot swap.
+  # check on the recvmmsg UDP workers, the stats blocks, and the snapshot
+  # swap.
   "$build_dir"/bench/server_throughput --smoke
   # Incremental-verification gate (docs/INCREMENTAL.md): cold-verify into a
   # fresh store, then re-verify warm. The harness exits non-zero unless every

@@ -236,8 +236,6 @@ std::string SerializeReport(const VerificationReport& report, int64_t functions_
   enc.Tag("counters");
   enc.Int(report.engine_paths);
   enc.Int(report.spec_paths);
-  enc.Int(report.solver_checks);
-  enc.Double(report.solve_seconds);
   enc.Double(report.total_seconds);
   enc.Int(report.summaries_computed);
   enc.Int(report.summary_applications);
@@ -316,8 +314,6 @@ bool ParseReport(const std::string& payload, VerificationReport* report,
   dec.Tag("counters");
   out.engine_paths = dec.Int();
   out.spec_paths = dec.Int();
-  out.solver_checks = dec.Int();
-  out.solve_seconds = dec.Double();
   out.total_seconds = dec.Double();
   out.summaries_computed = dec.Int();
   out.summary_applications = dec.Int();

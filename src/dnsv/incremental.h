@@ -40,7 +40,7 @@ inline constexpr char kPruneCheckKind[] = "prune";
 
 // Bump to invalidate every dnsv-owned artifact at once (serialization or
 // semantics changes that the content hashes cannot see).
-inline constexpr char kStoreSchemaVersion[] = "v1";
+inline constexpr char kStoreSchemaVersion[] = "v2";
 
 // The store + mode one pipeline run will use, after resolving defaults
 // (VerifyOptions.store vs DNSV_STORE_DIR) and the DNSV_STORE_FORCE override.

@@ -281,8 +281,8 @@ LayerMeasurement MeasureLayers(VerifyContext* verify_context, EngineVersion vers
       VerificationReport report =
           RunVerifyPipeline(verify_context, version, ctx->lifted->zone, options);
       timing.seconds += ElapsedSeconds() - start;
-      timing.solve_seconds += report.solve_seconds;
-      timing.solver_checks += report.solver_checks;
+      timing.solve_seconds += report.solver.solve_seconds;
+      timing.solver_checks += report.solver.z3_checks;
       timing.paths += report.engine_paths + report.spec_paths;
       if (report.aborted) {
         timing.ok = false;

@@ -11,6 +11,7 @@
 #include "src/dnsv/incremental.h"
 #include "src/dnsv/layers.h"
 #include "src/ir/printer.h"
+#include "src/smt/interval_presolver.h"
 #include "src/smt/query_cache.h"
 #include "src/store/codec.h"
 #include "src/store/qcache_io.h"
@@ -49,6 +50,8 @@ bool IsSharedInputVar(const std::string& name) {
   return name == "qtype" || name.rfind("qname.", 0) == 0;
 }
 
+}  // namespace
+
 // One explored path, exported from a worker's private arena.
 struct ExploredPath {
   PathOutcome::Kind kind = PathOutcome::Kind::kReturned;
@@ -59,20 +62,22 @@ struct ExploredPath {
 
 // Everything a worker hands back to the pipeline. The arena stays alive so
 // the exported terms remain valid until the compare stage has imported them.
+// A cached spec exploration (VerifyContext) is one of these, compacted: it
+// keeps only the arena, the paths and the counters a report copies.
 struct ExploreResult {
   bool aborted = false;
   std::string abort_reason;
   std::unique_ptr<TermArena> arena;
   std::vector<ExploredPath> paths;
   double seconds = 0;
-  int64_t solver_checks = 0;
-  double solve_seconds = 0;
   SolverStats solver;
   int64_t summaries_computed = 0;
   int64_t summary_applications = 0;
   int64_t manual_specs_verified = 0;
   int64_t spec_substitutions = 0;
 };
+
+namespace {
 
 // ExploreStage worker: full-path symbolic execution of either the engine's
 // Resolve (spec_side=false) or the rrlookup specification (spec_side=true),
@@ -196,8 +201,6 @@ ExploreResult RunExploreWorker(const CompiledEngine& engine, const LiftedZone& l
   if (spec_substitution != nullptr) {
     result.spec_substitutions = spec_substitution->substitutions();
   }
-  result.solver_checks = solver.num_checks();
-  result.solve_seconds = solver.solve_seconds();
   result.solver = solver.stats();
   result.seconds = ElapsedSeconds() - start;
   return result;
@@ -223,6 +226,66 @@ std::vector<ExploredPath> ImportPaths(const ExploreResult& worker, const char* t
     paths.push_back(std::move(imported));
   }
   return paths;
+}
+
+void MarkReachable(const TermArena& arena, Term t, std::vector<bool>* seen) {
+  if (!t.valid() || (*seen)[t.id()]) return;
+  (*seen)[t.id()] = true;
+  for (Term op : arena.node(t).operands) {
+    MarkReachable(arena, op, seen);
+  }
+}
+
+void MarkReachable(const TermArena& arena, const SymValue& value, std::vector<bool>* seen) {
+  MarkReachable(arena, value.term, seen);
+  MarkReachable(arena, value.list_len, seen);
+  for (const SymValue& elem : value.elems) {
+    MarkReachable(arena, elem, seen);
+  }
+}
+
+// The cacheable part of a finished exploration: its paths, copied into a
+// fresh arena that holds only the terms they reach (the worker's scratch
+// terms are freed with its arena), and the counters a report copies.
+// Terms are copied in ascending id order, so they keep their relative order
+// and every id-ordered normalization (Eq's operand order) comes out the
+// same: importing the compacted paths builds exactly the compare-stage
+// terms that importing the worker's paths would.
+ExploreResult Compact(const ExploreResult& worker) {
+  const TermArena& from = *worker.arena;
+  std::vector<bool> seen(from.size(), false);
+  for (const ExploredPath& path : worker.paths) {
+    MarkReachable(from, path.pc, &seen);
+    MarkReachable(from, path.response, &seen);
+  }
+  ExploreResult compact;
+  compact.arena = std::make_unique<TermArena>();
+  TermImporter importer(&from, compact.arena.get());
+  for (uint32_t id = 0; id < seen.size(); ++id) {
+    if (seen[id]) importer.Import(Term(id));
+  }
+  compact.paths.reserve(worker.paths.size());
+  for (const ExploredPath& path : worker.paths) {
+    ExploredPath copy = path;
+    copy.pc = importer.Import(path.pc);
+    copy.response = ImportSymValue(path.response, &importer);
+    compact.paths.push_back(std::move(copy));
+  }
+  compact.summaries_computed = worker.summaries_computed;
+  compact.summary_applications = worker.summary_applications;
+  compact.spec_substitutions = worker.spec_substitutions;
+  return compact;
+}
+
+// Everything RunExploreWorker reads on the spec side: the cones of rrlookup
+// and of the manual-spec pair, the struct layouts the zone heap was lifted
+// against, the canonical zone, and the option digest.
+std::string SpecExplorationKey(const ModuleManifest& manifest, const CompiledEngine& engine,
+                               const LiftedZone& lifted, const std::string& options_digest) {
+  uint64_t cones =
+      CombineConeHashes(manifest, {engine.rrlookup_fn().name(), "nameEq", "nameEqSpec"});
+  return StrCat("cones:", HexU64(cones), "|types:", HexU64(TypeTableFingerprint(engine.types())),
+                "|opt:", options_digest, "|zone:", lifted.zone.ToText());
 }
 
 // ConfirmStage state: decodes counterexample models into concrete queries,
@@ -586,6 +649,29 @@ Result<std::shared_ptr<const LiftedZone>> VerifyContext::GetLiftedZone(EngineVer
   return std::shared_ptr<const LiftedZone>(it->second);
 }
 
+std::shared_ptr<const ExploreResult> VerifyContext::FindSpecExploration(
+    const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = spec_explorations_.find(key);
+  if (it == spec_explorations_.end()) {
+    return nullptr;
+  }
+  ++stats_.spec_cache_hits;
+  return it->second;
+}
+
+std::shared_ptr<const ExploreResult> VerifyContext::AddSpecExploration(
+    const std::string& key, std::shared_ptr<const ExploreResult> exploration) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = spec_explorations_.emplace(key, std::move(exploration));
+  if (inserted) {
+    ++stats_.spec_explorations;
+  } else {
+    ++stats_.spec_cache_hits;  // another thread explored it first; use theirs
+  }
+  return it->second;
+}
+
 VerifyContext::CacheStats VerifyContext::cache_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -713,12 +799,18 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   // was fully explored by an earlier run under identical conditions"; cold
   // and shadow modes treat everything as dirty by not reading. Markers for
   // shared library layers are keyed purely by content, so a warm run of one
-  // version reuses the markers another version wrote.
+  // version reuses the markers another version wrote. The spec cache below
+  // keys on the same manifest.
+  bool spec_needed = !options.safety_only;
+  bool spec_cacheable = spec_needed && binding.mode != StoreMode::kShadow;
   std::vector<std::pair<std::string, uint64_t>> function_cones;
   std::vector<std::pair<std::string, uint64_t>> layer_cones;
+  double diff_start = ElapsedSeconds();
+  ModuleManifest manifest;
+  if (binding.active() || spec_cacheable) {
+    manifest = BuildModuleManifest(engine->module());
+  }
   if (binding.active()) {
-    double diff_start = ElapsedSeconds();
-    ModuleManifest manifest = BuildModuleManifest(engine->module());
     CallGraph graph = CallGraph::Build(engine->module());
     for (int node : graph.ReachableFrom(EngineAnalysisRoots())) {
       const std::string& name = graph.function(node).name();
@@ -757,11 +849,21 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
 
   // --- ExploreStage: engine and spec workers, serial or concurrent ---
   // Workers are fully isolated (private TermArena + SolverSession + lifted
-  // heap), so the parallel schedule produces byte-identical results.
-  bool spec_needed = !options.safety_only;
+  // heap), so the parallel schedule produces byte-identical results. The
+  // spec side is served from the context when an earlier run explored the
+  // same spec cone over the same zone and options (docs/INCREMENTAL.md);
+  // store shadow mode bypasses that cache, so its report comparison pits a
+  // report built with reuse against a fresh one.
+  std::string spec_key;
+  std::shared_ptr<const ExploreResult> spec;
+  if (spec_cacheable) {
+    spec_key = SpecExplorationKey(manifest, *engine, *lifted, VerifyOptionsDigest(options));
+    spec = context->FindSpecExploration(spec_key);
+  }
+  bool explore_spec = spec_needed && spec == nullptr;
   ExploreResult engine_side;
   ExploreResult spec_side;
-  report.explored_in_parallel = options.parallel_explore && spec_needed;
+  report.explored_in_parallel = options.parallel_explore && explore_spec;
   if (report.explored_in_parallel) {
     std::thread spec_thread(
         [&] { spec_side = RunExploreWorker(*engine, *lifted, options, /*spec_side=*/true); });
@@ -769,29 +871,39 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
     spec_thread.join();
   } else {
     engine_side = RunExploreWorker(*engine, *lifted, options, /*spec_side=*/false);
-    if (spec_needed) {
+    if (explore_spec) {
       spec_side = RunExploreWorker(*engine, *lifted, options, /*spec_side=*/true);
     }
   }
+  if (explore_spec && !spec_side.aborted) {
+    auto compact = std::make_shared<const ExploreResult>(Compact(spec_side));
+    spec = spec_cacheable ? context->AddSpecExploration(spec_key, std::move(compact))
+                          : std::move(compact);
+    spec_side.arena.reset();
+  }
+  // The spec side's stage stats and counters: this run's worker, or on a hit
+  // the cached exploration, which carries the counters but no time or
+  // solver work, so the report's solver totals count only what this run did.
+  const ExploreResult& spec_run = spec_needed && !explore_spec ? *spec : spec_side;
   StageStats engine_stage = MakeStage("explore.engine", engine_side.seconds,
-                                      engine_side.solver_checks, engine_side.solve_seconds);
+                                      engine_side.solver.z3_checks,
+                                      engine_side.solver.solve_seconds);
   engine_stage.solver = engine_side.solver;
   report.stages.push_back(std::move(engine_stage));
   if (spec_needed) {
-    StageStats spec_stage = MakeStage("explore.spec", spec_side.seconds,
-                                      spec_side.solver_checks, spec_side.solve_seconds);
-    spec_stage.solver = spec_side.solver;
+    StageStats spec_stage =
+        MakeStage("explore.spec", spec_run.seconds, spec_run.solver.z3_checks,
+                  spec_run.solver.solve_seconds, /*from_cache=*/!explore_spec);
+    spec_stage.solver = spec_run.solver;
     report.stages.push_back(std::move(spec_stage));
   }
-  report.solver_checks = engine_side.solver_checks + spec_side.solver_checks;
-  report.solve_seconds = engine_side.solve_seconds + spec_side.solve_seconds;
   report.solver += engine_side.solver;
-  report.solver += spec_side.solver;
-  report.summaries_computed = engine_side.summaries_computed + spec_side.summaries_computed;
+  report.solver += spec_run.solver;
+  report.summaries_computed = engine_side.summaries_computed + spec_run.summaries_computed;
   report.summary_applications =
-      engine_side.summary_applications + spec_side.summary_applications;
+      engine_side.summary_applications + spec_run.summary_applications;
   report.manual_specs_verified = engine_side.manual_specs_verified;
-  report.spec_substitutions = engine_side.spec_substitutions + spec_side.spec_substitutions;
+  report.spec_substitutions = engine_side.spec_substitutions + spec_run.spec_substitutions;
   if (engine_side.aborted || spec_side.aborted) {
     report.aborted = true;
     report.abort_reason =
@@ -800,7 +912,7 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
     return report;
   }
   report.engine_paths = static_cast<int64_t>(engine_side.paths.size());
-  report.spec_paths = spec_needed ? static_cast<int64_t>(spec_side.paths.size()) : 0;
+  report.spec_paths = spec_needed ? static_cast<int64_t>(spec->paths.size()) : 0;
 
   // --- CompareStage ---
   // A fresh arena + solver; both workers' paths are imported into it with
@@ -817,9 +929,12 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   solver.Assert(qname.constraints);
   solver.Assert(qtype.constraints);
   std::vector<ExploredPath> engine_paths = ImportPaths(engine_side, "eng", &arena);
-  std::vector<ExploredPath> spec_paths = ImportPaths(spec_side, "spec", &arena);
+  std::vector<ExploredPath> spec_paths;
+  if (spec_needed) {
+    spec_paths = ImportPaths(*spec, "spec", &arena);
+  }
   engine_side.arena.reset();
-  spec_side.arena.reset();
+  spec.reset();
 
   if (options.check_path_coverage) {
     // Full-path meta-check: the disjunction of path conditions covers the
@@ -883,15 +998,42 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
         confirmer.Add(std::move(issue), nullptr);
       }
     }
+    // Pair skip (docs/SMT.md): with the interval pre-solver in the stack, a
+    // pair whose two path conditions' var⋈const bounds or boolean literals
+    // already conflict is one its phase 1 refutes without reaching Z3, so
+    // the pair is dropped before its equality term is built. Shadow
+    // validation still sends each such pair to the solver and insists on
+    // UNSAT.
+    const bool skip_disjoint = options.solver.layering == SolverLayering::kCachePresolve;
+    std::vector<LiteralBounds> spec_bounds;
+    if (skip_disjoint) {
+      spec_bounds.reserve(spec_paths.size());
+      for (const ExploredPath& spec_path : spec_paths) {
+        spec_bounds.emplace_back(arena);
+        spec_bounds.back().Add(spec_path.pc);
+      }
+    }
     for (const ExploredPath& engine_path : engine_paths) {
       if (confirmer.full()) break;
       if (engine_path.kind != PathOutcome::Kind::kReturned) continue;
-      for (const ExploredPath& spec_path : spec_paths) {
+      LiteralBounds engine_bounds(arena);
+      if (skip_disjoint) engine_bounds.Add(engine_path.pc);
+      for (size_t j = 0; j < spec_paths.size(); ++j) {
+        const ExploredPath& spec_path = spec_paths[j];
         if (confirmer.full()) break;
         if (spec_path.kind != PathOutcome::Kind::kReturned) continue;
+        bool disjoint = skip_disjoint && engine_bounds.ConflictsWith(spec_bounds[j]);
+        if (disjoint && !options.solver.shadow_validate) continue;
         Term equal = SymValueEqTerm(engine_path.response, spec_path.response, &arena);
         Term mismatch = arena.AndN({engine_path.pc, spec_path.pc, arena.Not(equal)});
-        if (solver.CheckAssuming(mismatch) == SatResult::kSat) {
+        SatResult verdict = solver.CheckAssuming(mismatch);
+        if (disjoint && verdict != SatResult::kUnsat) {
+          DNSV_LOG(kError) << "compare pair skip shadow mismatch: solver="
+                           << static_cast<int>(verdict);
+          DNSV_CHECK_MSG(!options.solver.shadow_fatal,
+                         "unsound compare pair skip (shadow validation)");
+        }
+        if (verdict == SatResult::kSat) {
           Model model = solver.GetModel();
           VerificationIssue issue;
           issue.kind = VerificationIssue::Kind::kFunctional;
@@ -908,8 +1050,6 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   compare_stage.solver = solver.stats();
   report.stages.push_back(std::move(compare_stage));
   report.stages.push_back(MakeStage("confirm", confirmer.seconds()));
-  report.solver_checks += solver.num_checks();
-  report.solve_seconds += solver.solve_seconds();
   report.solver += solver.stats();
 
   report.total_seconds = ElapsedSeconds() - start;

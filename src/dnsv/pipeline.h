@@ -16,8 +16,9 @@
 //                  on the interpreter, classify in the Table-2 taxonomy
 //
 // driven by a VerifyContext whose caches persist across runs: verifying N
-// versions over M zones compiles each version exactly once and lifts each
-// (version, zone) pair exactly once.
+// versions over M zones compiles each version exactly once, lifts each
+// (version, zone) pair exactly once, and explores the spec once per distinct
+// (spec cone, zone) — versions that did not touch rrlookup share it.
 //
 // Threading rule: a worker NEVER shares a TermArena or SolverSession. Each
 // ExploreStage worker builds its own arena, solver, and lifted heap (Z3
@@ -38,6 +39,8 @@
 #include "src/dnsv/verifier.h"
 
 namespace dnsv {
+
+struct ExploreResult;  // one side's explored paths (pipeline.cc)
 
 // A zone materialized against one engine version's type table: the concrete
 // heap (domain tree + flat RR list), the label interner that encoded it, and
@@ -71,8 +74,9 @@ struct PrunedEngine {
 };
 
 // Cross-run state of the pipeline: compiled engines per version, lifted
-// heaps per (version, canonical zone). Thread-safe; create one per long-lived
-// workload (bench harness, release gate, server fleet) and pass it to every
+// heaps per (version, canonical zone), spec explorations per (spec cone,
+// zone, options). Thread-safe; create one per long-lived workload (bench
+// harness, release gate, server fleet) and pass it to every
 // RunVerifyPipeline call to amortize the setup stages.
 class VerifyContext {
  public:
@@ -110,6 +114,17 @@ class VerifyContext {
                                                           bool pruned = false,
                                                           bool interproc = false);
 
+  // ExploreStage, spec side: finished (not aborted) explorations of the
+  // rrlookup specification, compacted, keyed by everything the spec worker
+  // reads — the cone hashes of rrlookup and of the manual-spec pair, the
+  // struct layouts, the canonical zone and the options digest. Versions
+  // whose spec cone is unchanged share one exploration per zone. Find
+  // returns null on a miss; Add keeps the first entry stored under `key`
+  // and returns the one the cache holds.
+  std::shared_ptr<const ExploreResult> FindSpecExploration(const std::string& key);
+  std::shared_ptr<const ExploreResult> AddSpecExploration(
+      const std::string& key, std::shared_ptr<const ExploreResult> exploration);
+
   struct CacheStats {
     int64_t engine_compiles = 0;
     int64_t engine_cache_hits = 0;
@@ -117,6 +132,8 @@ class VerifyContext {
     int64_t prune_cache_hits = 0;
     int64_t zone_lifts = 0;
     int64_t zone_cache_hits = 0;
+    int64_t spec_explorations = 0;
+    int64_t spec_cache_hits = 0;
   };
   CacheStats cache_stats() const;
 
@@ -126,6 +143,7 @@ class VerifyContext {
   // Keyed by (version, interproc mode).
   std::map<std::pair<EngineVersion, bool>, std::shared_ptr<const PrunedEngine>> pruned_engines_;
   std::map<std::string, std::shared_ptr<const LiftedZone>> zones_;
+  std::map<std::string, std::shared_ptr<const ExploreResult>> spec_explorations_;
   CacheStats stats_;
 };
 

@@ -90,7 +90,7 @@ std::string VerificationReport::ToString() const {
     out += issue.ToString();
   }
   out += StrCat("  engine paths: ", engine_paths, ", spec paths: ", spec_paths,
-                ", solver checks: ", solver_checks, " (", solve_seconds, "s), total ",
+                ", solver checks: ", solver.z3_checks, " (", solver.solve_seconds, "s), total ",
                 total_seconds, "s\n");
   if (summaries_computed > 0) {
     out += StrCat("  summaries: ", summaries_computed, " computed, ", summary_applications,

@@ -138,7 +138,9 @@ struct StageStats {
   double seconds = 0;
   int64_t solver_checks = 0;
   double solve_seconds = 0;   // portion of `seconds` spent inside Z3
-  bool from_cache = false;    // compile/prune/lift: served from the VerifyContext cache
+  bool from_cache = false;    // compile/prune/lift/explore.spec: served from the
+                              // VerifyContext cache (explore.spec then shows 0 s
+                              // and no solver work)
   // Prune stage only: guards proved safe and rewritten, and total paths the
   // rewrite removes from exploration (discharged guards + deleted blocks).
   int64_t panics_discharged = 0;
@@ -188,8 +190,6 @@ struct VerificationReport {
   // Statistics (feed the Fig.-12 and Table-2 harnesses).
   int64_t engine_paths = 0;
   int64_t spec_paths = 0;
-  int64_t solver_checks = 0;
-  double solve_seconds = 0;
   double total_seconds = 0;
   int64_t summaries_computed = 0;
   int64_t summary_applications = 0;
@@ -207,7 +207,9 @@ struct VerificationReport {
   // execution order (explore.engine/explore.spec may have run concurrently).
   std::vector<StageStats> stages;
   bool explored_in_parallel = false;
-  // Solver-layer counters aggregated over every session the run created.
+  // Solver-layer counters aggregated over every session this run created
+  // (a spec exploration served from the VerifyContext contributes none).
+  // `solver.z3_checks` and `solver.solve_seconds` are the run's Z3 totals.
   SolverStats solver;
   // Artifact-store contribution (docs/INCREMENTAL.md); defaults when no
   // store is bound.

@@ -146,4 +146,16 @@ uint64_t FunctionFingerprint(const Module& module, const Function& function) {
   return Fnv1a64(PrintFunction(module, function));
 }
 
+uint64_t TypeTableFingerprint(const TypeTable& types) {
+  std::string out;
+  for (const StructDef* def : types.Structs()) {
+    out += StrCat("struct ", def->name, " {");
+    for (const StructField& field : def->fields) {
+      out += StrCat(" ", field.name, " ", types.ToString(field.type), ";");
+    }
+    out += " }\n";
+  }
+  return Fnv1a64(out);
+}
+
 }  // namespace dnsv

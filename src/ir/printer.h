@@ -27,6 +27,12 @@ uint64_t ModuleFingerprint(const Module& module);
 // (docs/INCREMENTAL.md).
 uint64_t FunctionFingerprint(const Module& module, const Function& function);
 
+// Content hash of the module's struct layouts: every defined struct, in name
+// order, with its fields' names and types spelled by name. Function hashes
+// name types without their fields, so anything laid out against the type
+// table (a lifted zone heap) needs this hash as well.
+uint64_t TypeTableFingerprint(const TypeTable& types);
+
 }  // namespace dnsv
 
 #endif  // DNSV_IR_PRINTER_H_

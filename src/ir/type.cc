@@ -1,5 +1,7 @@
 #include "src/ir/type.h"
 
+#include <algorithm>
+
 #include "src/support/strings.h"
 
 namespace dnsv {
@@ -55,6 +57,17 @@ const StructDef& TypeTable::GetStruct(const std::string& name) const {
 const StructDef& TypeTable::GetStruct(Type t) const {
   DNSV_CHECK(IsStruct(t));
   return GetStruct(node(t).struct_name);
+}
+
+std::vector<const StructDef*> TypeTable::Structs() const {
+  std::vector<const StructDef*> out;
+  out.reserve(structs_.size());
+  for (const auto& [name, def] : structs_) {
+    out.push_back(&def);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const StructDef* a, const StructDef* b) { return a->name < b->name; });
+  return out;
 }
 
 std::string TypeTable::ToString(Type t) const {

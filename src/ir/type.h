@@ -82,6 +82,8 @@ class TypeTable {
   bool IsStructDefined(const std::string& name) const;
   const StructDef& GetStruct(const std::string& name) const;
   const StructDef& GetStruct(Type t) const;
+  // Every defined struct, in name order.
+  std::vector<const StructDef*> Structs() const;
 
   const TypeNode& node(Type t) const {
     DNSV_CHECK(t.valid() && t.id() < nodes_.size());

@@ -18,7 +18,7 @@ bool SafeConst(int64_t v) {
   return v > Interval::kNegInf + 2 && v < Interval::kPosInf - 2;
 }
 
-enum class CmpOp { kLt, kLe, kEq, kNe };
+using CmpOp = LiteralBounds::CmpOp;
 
 struct Atom {
   CmpOp op;
@@ -26,26 +26,150 @@ struct Atom {
   Term rhs;
 };
 
+}  // namespace
+
+struct LiteralBounds::Residual {
+  std::unordered_map<uint32_t, std::set<int64_t>> exclusions;
+  std::vector<Atom> atoms;
+};
+
+bool LiteralBounds::Add(Term t, Residual* residual) {
+  return AddConjunct(t, /*negated=*/false, residual);
+}
+
+bool LiteralBounds::ConflictsWith(const LiteralBounds& other) const {
+  if (unsat_ || other.unsat_) return true;
+  const LiteralBounds& small = intervals_.size() <= other.intervals_.size() ? *this : other;
+  const LiteralBounds& large = &small == this ? other : *this;
+  for (const auto& [var_id, iv] : small.intervals_) {
+    auto it = large.intervals_.find(var_id);
+    if (it != large.intervals_.end() && !Meet(iv, it->second)) return true;
+  }
+  for (const auto& [var_id, value] : bool_values_) {
+    auto it = other.bool_values_.find(var_id);
+    if (it != other.bool_values_.end() && it->second != value) return true;
+  }
+  return false;
+}
+
+bool LiteralBounds::AddConjunct(Term t, bool negated, Residual* residual) {
+  const TermNode& n = arena_->node(t);
+  switch (n.kind) {
+    case TermKind::kBoolConst:
+      if ((n.int_value != 0) == negated) unsat_ = true;
+      return true;
+    case TermKind::kNot:
+      return AddConjunct(n.operands[0], !negated, residual);
+    case TermKind::kVar: {
+      bool value = !negated;
+      auto [it, inserted] = bool_values_.emplace(t.id(), value);
+      if (!inserted && it->second != value) unsat_ = true;
+      return true;
+    }
+    case TermKind::kAnd: {
+      if (negated) return false;  // ¬(a ∧ b) is a disjunction
+      bool ok = true;
+      for (Term op : n.operands) ok = AddConjunct(op, false, residual) && ok;
+      return ok;
+    }
+    case TermKind::kLt:
+      return negated ? AddAtom(CmpOp::kLe, n.operands[1], n.operands[0], residual)
+                     : AddAtom(CmpOp::kLt, n.operands[0], n.operands[1], residual);
+    case TermKind::kLe:
+      return negated ? AddAtom(CmpOp::kLt, n.operands[1], n.operands[0], residual)
+                     : AddAtom(CmpOp::kLe, n.operands[0], n.operands[1], residual);
+    case TermKind::kEq:
+      return AddAtom(negated ? CmpOp::kNe : CmpOp::kEq, n.operands[0], n.operands[1],
+                     residual);
+    default:
+      return false;  // kOr, kBoolEq, and anything non-boolean
+  }
+}
+
+bool LiteralBounds::AddAtom(CmpOp op, Term lhs, Term rhs, Residual* residual) {
+  const TermNode& ln = arena_->node(lhs);
+  const TermNode& rn = arena_->node(rhs);
+  bool lhs_var = ln.kind == TermKind::kVar;
+  bool rhs_var = rn.kind == TermKind::kVar;
+  bool lhs_const = ln.kind == TermKind::kIntConst;
+  bool rhs_const = rn.kind == TermKind::kIntConst;
+  if (lhs_const && rhs_const) {
+    bool holds = false;
+    switch (op) {
+      case CmpOp::kLt: holds = ln.int_value < rn.int_value; break;
+      case CmpOp::kLe: holds = ln.int_value <= rn.int_value; break;
+      case CmpOp::kEq: holds = ln.int_value == rn.int_value; break;
+      case CmpOp::kNe: holds = ln.int_value != rn.int_value; break;
+    }
+    if (!holds) unsat_ = true;
+    return true;
+  }
+  if (lhs_var && rhs_const) {
+    return RefineVarConst(op, lhs, rn.int_value, /*var_on_left=*/true, residual);
+  }
+  if (lhs_const && rhs_var) {
+    return RefineVarConst(op, rhs, ln.int_value, /*var_on_left=*/false, residual);
+  }
+  if (residual != nullptr) residual->atoms.push_back({op, lhs, rhs});
+  return true;
+}
+
+// Handles var ⋈ const (var_on_left) and const ⋈ var literals.
+bool LiteralBounds::RefineVarConst(CmpOp op, Term var, int64_t c, bool var_on_left,
+                                   Residual* residual) {
+  if (!SafeConst(c)) return false;
+  switch (op) {
+    case CmpOp::kLt:
+      MeetVar(var, var_on_left ? Interval{Interval::kNegInf, c - 1}
+                               : Interval{c + 1, Interval::kPosInf});
+      return true;
+    case CmpOp::kLe:
+      MeetVar(var, var_on_left ? Interval{Interval::kNegInf, c}
+                               : Interval{c, Interval::kPosInf});
+      return true;
+    case CmpOp::kEq:
+      MeetVar(var, Interval::Const(c));
+      return true;
+    case CmpOp::kNe:
+      if (residual != nullptr) residual->exclusions[var.id()].insert(c);
+      return true;
+  }
+  return false;
+}
+
+void LiteralBounds::MeetVar(Term var, Interval refinement) {
+  auto [it, inserted] = intervals_.emplace(var.id(), Interval::Top());
+  std::optional<Interval> met = Meet(it->second, refinement);
+  if (!met) {
+    unsat_ = true;
+  } else {
+    it->second = *met;
+  }
+}
+
+namespace {
+
 // One-shot decision over a conjunction; see the header for the procedure.
 class Decider {
  public:
-  explicit Decider(const TermArena& arena) : arena_(arena) {}
+  explicit Decider(const TermArena& arena) : arena_(arena), bounds_(arena) {}
 
   std::optional<SatResult> Decide(const std::vector<Term>& terms) {
+    bool bail = false;
     for (Term t : terms) {
-      if (!AddConjunct(t, /*negated=*/false)) {
-        bail_ = true;
+      if (!bounds_.Add(t, &residual_)) {
+        bail = true;
       }
     }
     // A contradiction among the decidable literals refutes the whole
     // conjunction even when other literals were outside the fragment.
-    if (unsat_) return SatResult::kUnsat;
-    if (bail_) return std::nullopt;
+    if (bounds_.unsat()) return SatResult::kUnsat;
+    if (bail) return std::nullopt;
 
     // Phase 2: compound atoms under the phase-1 intervals. Provably-false
     // beats undecided (same reasoning as above), so scan all atoms first.
     bool undecided = false;
-    for (const Atom& atom : residual_) {
+    for (const Atom& atom : residual_.atoms) {
       std::optional<Interval> lhs = Eval(atom.lhs);
       std::optional<Interval> rhs = Eval(atom.rhs);
       if (!lhs || !rhs) {
@@ -68,10 +192,10 @@ class Decider {
     // point outside its exclusion set (any such per-variable assignment
     // satisfies the conjunction, since the surviving phase-2 atoms hold for
     // all values in the intervals).
-    for (const auto& [var_id, iv] : intervals_) {
-      auto it = exclusions_.find(var_id);
+    for (const auto& [var_id, iv] : bounds_.intervals()) {
+      auto it = residual_.exclusions.find(var_id);
       static const std::set<int64_t> kNoExclusions;
-      if (!HasWitness(iv, it == exclusions_.end() ? kNoExclusions : it->second)) {
+      if (!HasWitness(iv, it == residual_.exclusions.end() ? kNoExclusions : it->second)) {
         return SatResult::kUnsat;
       }
     }
@@ -82,94 +206,6 @@ class Decider {
 
  private:
   enum class Verdict { kTrue, kFalse, kUndecided };
-
-  // Returns false when the conjunct is outside the decidable fragment.
-  bool AddConjunct(Term t, bool negated) {
-    const TermNode& n = arena_.node(t);
-    switch (n.kind) {
-      case TermKind::kBoolConst:
-        if ((n.int_value != 0) == negated) unsat_ = true;
-        return true;
-      case TermKind::kNot:
-        return AddConjunct(n.operands[0], !negated);
-      case TermKind::kVar: {
-        bool value = !negated;
-        auto [it, inserted] = bool_values_.emplace(t.id(), value);
-        if (!inserted && it->second != value) unsat_ = true;
-        return true;
-      }
-      case TermKind::kAnd: {
-        if (negated) return false;  // ¬(a ∧ b) is a disjunction
-        bool ok = true;
-        for (Term op : n.operands) ok = AddConjunct(op, false) && ok;
-        return ok;
-      }
-      case TermKind::kLt:
-        return negated ? AddAtom(CmpOp::kLe, n.operands[1], n.operands[0])
-                       : AddAtom(CmpOp::kLt, n.operands[0], n.operands[1]);
-      case TermKind::kLe:
-        return negated ? AddAtom(CmpOp::kLt, n.operands[1], n.operands[0])
-                       : AddAtom(CmpOp::kLe, n.operands[0], n.operands[1]);
-      case TermKind::kEq:
-        return AddAtom(negated ? CmpOp::kNe : CmpOp::kEq, n.operands[0], n.operands[1]);
-      default:
-        return false;  // kOr, kBoolEq, and anything non-boolean
-    }
-  }
-
-  bool AddAtom(CmpOp op, Term lhs, Term rhs) {
-    const TermNode& ln = arena_.node(lhs);
-    const TermNode& rn = arena_.node(rhs);
-    bool lhs_var = ln.kind == TermKind::kVar;
-    bool rhs_var = rn.kind == TermKind::kVar;
-    bool lhs_const = ln.kind == TermKind::kIntConst;
-    bool rhs_const = rn.kind == TermKind::kIntConst;
-    if (lhs_const && rhs_const) {
-      bool holds = false;
-      switch (op) {
-        case CmpOp::kLt: holds = ln.int_value < rn.int_value; break;
-        case CmpOp::kLe: holds = ln.int_value <= rn.int_value; break;
-        case CmpOp::kEq: holds = ln.int_value == rn.int_value; break;
-        case CmpOp::kNe: holds = ln.int_value != rn.int_value; break;
-      }
-      if (!holds) unsat_ = true;
-      return true;
-    }
-    if (lhs_var && rhs_const) return RefineVarConst(op, lhs, rn.int_value, /*var_on_left=*/true);
-    if (lhs_const && rhs_var) return RefineVarConst(op, rhs, ln.int_value, /*var_on_left=*/false);
-    residual_.push_back({op, lhs, rhs});
-    return true;
-  }
-
-  // Handles var ⋈ const (var_on_left) and const ⋈ var literals.
-  bool RefineVarConst(CmpOp op, Term var, int64_t c, bool var_on_left) {
-    if (!SafeConst(c)) return false;
-    switch (op) {
-      case CmpOp::kLt:
-        return MeetVar(var, var_on_left ? Interval{Interval::kNegInf, c - 1}
-                                        : Interval{c + 1, Interval::kPosInf});
-      case CmpOp::kLe:
-        return MeetVar(var, var_on_left ? Interval{Interval::kNegInf, c}
-                                        : Interval{c, Interval::kPosInf});
-      case CmpOp::kEq:
-        return MeetVar(var, Interval::Const(c));
-      case CmpOp::kNe:
-        exclusions_[var.id()].insert(c);
-        return true;
-    }
-    return false;
-  }
-
-  bool MeetVar(Term var, Interval refinement) {
-    auto [it, inserted] = intervals_.emplace(var.id(), Interval::Top());
-    std::optional<Interval> met = Meet(it->second, refinement);
-    if (!met) {
-      unsat_ = true;
-    } else {
-      it->second = *met;
-    }
-    return true;
-  }
 
   // Interval of an integer expression under the phase-1 intervals; nullopt
   // outside the +,-,* fragment. (Ignoring exclusion sets here is sound: they
@@ -183,8 +219,8 @@ class Decider {
         return Interval::Const(n.int_value);
       case TermKind::kVar: {
         if (n.sort != Sort::kInt) return std::nullopt;
-        auto it = intervals_.find(t.id());
-        return it == intervals_.end() ? Interval::Top() : it->second;
+        auto it = bounds_.intervals().find(t.id());
+        return it == bounds_.intervals().end() ? Interval::Top() : it->second;
       }
       case TermKind::kAdd:
       case TermKind::kSub:
@@ -243,12 +279,8 @@ class Decider {
   }
 
   const TermArena& arena_;
-  bool unsat_ = false;
-  bool bail_ = false;
-  std::unordered_map<uint32_t, Interval> intervals_;
-  std::unordered_map<uint32_t, std::set<int64_t>> exclusions_;
-  std::unordered_map<uint32_t, bool> bool_values_;
-  std::vector<Atom> residual_;
+  LiteralBounds bounds_;
+  LiteralBounds::Residual residual_;
 };
 
 }  // namespace

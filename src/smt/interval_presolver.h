@@ -31,13 +31,61 @@
 #ifndef DNSV_SMT_INTERVAL_PRESOLVER_H_
 #define DNSV_SMT_INTERVAL_PRESOLVER_H_
 
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
+#include "src/analysis/interval.h"
 #include "src/smt/backend.h"
 #include "src/smt/canon.h"
 
 namespace dnsv {
+
+// Phase 1 of the procedure above, over one conjunction: the var⋈const
+// literals folded into per-variable intervals, the boolean variable
+// literals as forced truth values, and whether those alone are already
+// contradictory. Conjuncts outside the fragment are skipped (Add reports
+// them), as are var⋈const literals whose constant sits at the int64
+// extremes. The pre-solver builds its decision on this; the compare stage
+// (src/dnsv/pipeline.cc) keeps one per path condition and skips a pair of
+// paths whose bounds conflict, which is a pair phase 1 refutes anyway.
+class LiteralBounds {
+ public:
+  enum class CmpOp : uint8_t { kLt, kLe, kEq, kNe };
+
+  // The literals phase 1 parses but does not fold into bounds: var≠const
+  // exclusions and compound atoms (var⋈var, arithmetic). Only the
+  // pre-solver's later phases read them.
+  struct Residual;
+
+  explicit LiteralBounds(const TermArena& arena) : arena_(&arena) {}
+
+  // Folds conjunct `t` in; literals it does not fold go to `residual` when
+  // given. False when some part of `t` is outside the decidable fragment.
+  bool Add(Term t, Residual* residual = nullptr);
+
+  // The folded literals are contradictory on their own.
+  bool unsat() const { return unsat_; }
+  // The conjunction of both literal sets is contradictory: either side is,
+  // some variable's two intervals do not meet, or some boolean variable is
+  // forced both ways.
+  bool ConflictsWith(const LiteralBounds& other) const;
+
+  // Keyed by the variable's term id.
+  const std::unordered_map<uint32_t, Interval>& intervals() const { return intervals_; }
+
+ private:
+  bool AddConjunct(Term t, bool negated, Residual* residual);
+  bool AddAtom(CmpOp op, Term lhs, Term rhs, Residual* residual);
+  bool RefineVarConst(CmpOp op, Term var, int64_t c, bool var_on_left, Residual* residual);
+  void MeetVar(Term var, Interval refinement);
+
+  const TermArena* arena_;
+  bool unsat_ = false;
+  std::unordered_map<uint32_t, Interval> intervals_;
+  std::unordered_map<uint32_t, bool> bool_values_;
+};
 
 class IntervalPreSolver : public SolverBackend {
  public:

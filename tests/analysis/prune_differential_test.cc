@@ -204,7 +204,7 @@ TEST_P(InterprocVerifierDifferential, VerdictAndIssuesMatchBaselinePruner) {
   // Dominance: the analysis suite never discharges less than the baseline
   // and never leaves the executor more solver work.
   EXPECT_GE(inter.panics_discharged, base.panics_discharged);
-  EXPECT_LE(inter.solver_checks, base.solver_checks);
+  EXPECT_LE(inter.solver.z3_checks, base.solver.z3_checks);
   // The per-pass analysis stats are reported only in interproc mode.
   EXPECT_TRUE(base.analysis.IsZero());
   EXPECT_FALSE(inter.analysis.IsZero());
@@ -250,7 +250,7 @@ TEST(PrunedVerifier, StrictlyFewerSolverChecksOnGolden) {
       RunVerifyPipeline(&context, EngineVersion::kGolden, Figure11Zone(), on);
   ASSERT_TRUE(base.verified) << base.ToString();
   ASSERT_TRUE(pruned.verified) << pruned.ToString();
-  EXPECT_LT(pruned.solver_checks, base.solver_checks)
+  EXPECT_LT(pruned.solver.z3_checks, base.solver.z3_checks)
       << "pruning must strictly reduce exploration solver checks";
   EXPECT_GT(pruned.paths_pruned, 0);
   EXPECT_GT(pruned.panics_discharged, 0);

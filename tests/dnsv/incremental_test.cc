@@ -124,6 +124,33 @@ TEST_F(IncrementalTest, ShadowModeCrossChecksTheStoredReport) {
   EXPECT_EQ(NormalizedReportText(shadow), NormalizedReportText(cold));
 }
 
+// Shadow mode recomputes the spec exploration instead of taking it from the
+// context, so its comparison pits a report built with reuse (v3.0 shares
+// v2.0's spec cone) against a fresh one.
+TEST_F(IncrementalTest, ShadowModeBypassesTheSpecCache) {
+  ArtifactStore store(root_.string());
+  VerifyContext context;
+  VerifyOptions options;
+  options.use_summaries = true;
+  options.prune = true;
+  options.store = &store;
+  RunVerifyPipeline(&context, EngineVersion::kV2, Figure11Zone(), options);
+  VerificationReport reused =
+      RunVerifyPipeline(&context, EngineVersion::kV3, Figure11Zone(), options);
+  ASSERT_EQ(context.cache_stats().spec_cache_hits, 1);
+  options.store_mode = StoreMode::kShadow;
+  VerificationReport shadow =
+      RunVerifyPipeline(&context, EngineVersion::kV3, Figure11Zone(), options);
+  EXPECT_TRUE(shadow.incremental.shadow_checked);
+  EXPECT_EQ(context.cache_stats().spec_cache_hits, 1);
+  for (const StageStats& stage : shadow.stages) {
+    if (stage.stage == "explore.spec") {
+      EXPECT_FALSE(stage.from_cache);
+    }
+  }
+  EXPECT_EQ(NormalizedReportText(shadow), NormalizedReportText(reused));
+}
+
 TEST_F(IncrementalTest, EnvForceOffWinsOverExplicitStore) {
   ArtifactStore store(root_.string());
   ::setenv("DNSV_STORE_FORCE", "off", 1);

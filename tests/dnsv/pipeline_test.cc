@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "src/dns/example_zones.h"
+#include "src/dnsv/incremental.h"
 #include "src/engine/engine.h"
 
 namespace dnsv {
@@ -40,6 +44,50 @@ ns  A   192.0.2.1
 www A   192.0.2.2
 *   TXT 7
 )").value();
+}
+
+// The release gate's zones: the two Table-2 corpus zones
+// (bench/table2_bug_finding.cc) and the kitchen-sink zone.
+std::vector<ZoneConfig> GateZones() {
+  return {ParseZoneText(R"(
+$ORIGIN corp.test.
+@        SOA  ns1 7
+@        NS   ns1.corp.test.
+ns1      A    198.51.100.1
+shop     MX   10 ns1
+shop     A    198.51.100.30
+*        TXT  99
+*        MX   20 ns1
+deep.box A    198.51.100.40
+)").value(),
+          ParseZoneText(R"(
+$ORIGIN corp.test.
+@        SOA  ns1 7
+@        NS   ns1.corp.test.
+ns1      A    198.51.100.1
+child    NS   ns1.child.corp.test.
+child    NS   ns2.child.corp.test.
+ns1.child A   198.51.100.51
+ns2.child A   198.51.100.52
+)").value(),
+          KitchenSinkZone()};
+}
+
+// The release gate's options (perfbench's verify-release, minus the store).
+// The full solver stack puts the compare stage's pair skip in play too.
+VerifyOptions GateOptions() {
+  VerifyOptions options;
+  options.use_summaries = true;
+  options.prune = true;
+  options.solver.layering = SolverLayering::kCachePresolve;
+  return options;
+}
+
+const StageStats* FindStage(const VerificationReport& report, const std::string& name) {
+  for (const StageStats& stage : report.stages) {
+    if (stage.stage == name) return &stage;
+  }
+  return nullptr;
 }
 
 TEST(PipelineCache, TwoZonesOneVersionCompileOnce) {
@@ -104,19 +152,96 @@ TEST(PipelineCache, ProcessWideGetCachedReturnsSameEngine) {
   EXPECT_EQ(CompiledEngine::num_compiles(), compiles_after_first);
 }
 
+// Spec reuse across versions: over the release gate, one context explores
+// the spec once per distinct (spec cone, zone) — rrlookup has four distinct
+// pruned cones across the seven versions (v1.0; v2.0/v3.0/dev/golden; v4.0;
+// v5.0) — and every report is the one a fresh context produces.
+TEST(PipelineSpecCache, ReleaseGateMatchesFreshContexts) {
+  const VerifyOptions options = GateOptions();
+  VerifyContext shared;
+  for (EngineVersion version : AllEngineVersions()) {
+    for (const ZoneConfig& zone : GateZones()) {
+      VerifyContext::CacheStats before = shared.cache_stats();
+      VerificationReport reused = RunVerifyPipeline(&shared, version, zone, options);
+      VerifyContext fresh;
+      VerificationReport alone = RunVerifyPipeline(&fresh, version, zone, options);
+      ASSERT_FALSE(reused.aborted) << reused.abort_reason;
+      EXPECT_EQ(NormalizedReportText(reused), NormalizedReportText(alone))
+          << EngineVersionName(version);
+      const StageStats* spec = FindStage(reused, "explore.spec");
+      ASSERT_NE(spec, nullptr);
+      bool hit = shared.cache_stats().spec_cache_hits > before.spec_cache_hits;
+      EXPECT_EQ(spec->from_cache, hit);
+      if (hit) {
+        // A cached exploration costs this run nothing and adds no solver work.
+        EXPECT_EQ(spec->seconds, 0.0);
+        EXPECT_EQ(spec->solver.queries, 0);
+        EXPECT_FALSE(reused.explored_in_parallel);
+      }
+    }
+  }
+  VerifyContext::CacheStats stats = shared.cache_stats();
+  EXPECT_EQ(stats.spec_explorations, 12);
+  EXPECT_EQ(stats.spec_cache_hits, 9);
+}
+
+TEST(PipelineSpecCache, OptionOrZoneChangeMisses) {
+  VerifyContext context;
+  VerifyOptions options;
+  RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneA(), options);
+  EXPECT_EQ(context.cache_stats().spec_explorations, 1);
+  VerifyOptions deeper = options;
+  deeper.extra_qname_labels = 2;
+  VerificationReport deep = RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneA(), deeper);
+  EXPECT_FALSE(FindStage(deep, "explore.spec")->from_cache);
+  VerificationReport other = RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneB(), options);
+  EXPECT_FALSE(FindStage(other, "explore.spec")->from_cache);
+  EXPECT_EQ(context.cache_stats().spec_explorations, 3);
+  EXPECT_EQ(context.cache_stats().spec_cache_hits, 0);
+  // The unchanged (zone, options) pair hits, on another version too: v3.0
+  // shares golden's spec cone.
+  VerificationReport again = RunVerifyPipeline(&context, EngineVersion::kV3, ZoneA(), options);
+  EXPECT_TRUE(FindStage(again, "explore.spec")->from_cache);
+  EXPECT_EQ(context.cache_stats().spec_cache_hits, 1);
+}
+
+// Two threads that need the same spec exploration at once: whichever stores
+// it first wins, the other uses it (or explores too and keeps the winner's),
+// and both reports are what a fresh context gives.
+TEST(PipelineSpecCache, ConcurrentRunsShareOneEntry) {
+  VerifyContext context;
+  VerificationReport v3;
+  VerificationReport golden;
+  std::thread other([&] { v3 = RunVerifyPipeline(&context, EngineVersion::kV3, ZoneA()); });
+  golden = RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneA());
+  other.join();
+  VerifyContext::CacheStats stats = context.cache_stats();
+  EXPECT_EQ(stats.spec_explorations, 1);
+  EXPECT_EQ(stats.spec_cache_hits, 1);
+  VerifyContext fresh_v3;
+  VerifyContext fresh_golden;
+  EXPECT_EQ(NormalizedReportText(v3),
+            NormalizedReportText(RunVerifyPipeline(&fresh_v3, EngineVersion::kV3, ZoneA())));
+  EXPECT_EQ(NormalizedReportText(golden), NormalizedReportText(RunVerifyPipeline(
+                                              &fresh_golden, EngineVersion::kGolden, ZoneA())));
+}
+
 // The acceptance criterion on determinism: with isolated per-worker arenas
 // and a post-join fixed-order merge, parallel exploration must yield a
-// byte-identical issue list to serial exploration.
+// byte-identical issue list to serial exploration. Each run gets its own
+// context: a shared one would serve the second run's spec side from the
+// spec cache, and nothing would explore in parallel.
 TEST(PipelineParallel, IssueListsByteIdenticalToSerial) {
-  VerifyContext context;
+  VerifyContext serial_context;
+  VerifyContext parallel_context;
   VerifyOptions serial;
   serial.parallel_explore = false;
   VerifyOptions parallel;
   parallel.parallel_explore = true;
   VerificationReport serial_report =
-      RunVerifyPipeline(&context, EngineVersion::kV1, BuggyZone(), serial);
+      RunVerifyPipeline(&serial_context, EngineVersion::kV1, BuggyZone(), serial);
   VerificationReport parallel_report =
-      RunVerifyPipeline(&context, EngineVersion::kV1, BuggyZone(), parallel);
+      RunVerifyPipeline(&parallel_context, EngineVersion::kV1, BuggyZone(), parallel);
   ASSERT_FALSE(serial_report.aborted) << serial_report.abort_reason;
   ASSERT_FALSE(serial_report.verified);
   EXPECT_FALSE(serial_report.explored_in_parallel);
@@ -130,7 +255,8 @@ TEST(PipelineParallel, IssueListsByteIdenticalToSerial) {
 }
 
 TEST(PipelineParallel, CleanVerdictMatchesSerial) {
-  VerifyContext context;
+  VerifyContext serial_context;
+  VerifyContext parallel_context;
   VerifyOptions serial;
   serial.parallel_explore = false;
   serial.use_summaries = true;
@@ -138,9 +264,10 @@ TEST(PipelineParallel, CleanVerdictMatchesSerial) {
   VerifyOptions parallel = serial;
   parallel.parallel_explore = true;
   VerificationReport serial_report =
-      RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneB(), serial);
+      RunVerifyPipeline(&serial_context, EngineVersion::kGolden, ZoneB(), serial);
   VerificationReport parallel_report =
-      RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneB(), parallel);
+      RunVerifyPipeline(&parallel_context, EngineVersion::kGolden, ZoneB(), parallel);
+  EXPECT_TRUE(parallel_report.explored_in_parallel);
   EXPECT_TRUE(serial_report.verified) << serial_report.ToString();
   EXPECT_TRUE(parallel_report.verified) << parallel_report.ToString();
   EXPECT_EQ(serial_report.engine_paths, parallel_report.engine_paths);
@@ -167,7 +294,7 @@ TEST(PipelineStages, ReportCarriesEveryStage) {
   for (const StageStats& stage : report.stages) {
     stage_checks += stage.solver_checks;
   }
-  EXPECT_EQ(stage_checks, report.solver_checks)
+  EXPECT_EQ(stage_checks, report.solver.z3_checks)
       << "per-stage solver checks must add up to the report total";
 }
 
@@ -191,8 +318,8 @@ TEST(PipelineStages, ReportToStringGolden) {
   report.verified = true;
   report.engine_paths = 12;
   report.spec_paths = 9;
-  report.solver_checks = 34;
-  report.solve_seconds = 0.5;
+  report.solver.z3_checks = 34;
+  report.solver.solve_seconds = 0.5;
   report.total_seconds = 1.5;
   report.explored_in_parallel = true;
   report.pruned = true;
