@@ -1,20 +1,19 @@
 // Prune ablation: what the AbsIR dataflow pruner (src/analysis) buys the
 // symbolic-execution stage. For each engine version the same zone is verified
-// three times — pruning off, baseline (intraprocedural) pruning, and pruning
-// fed by the interprocedural analysis suite (callgraph + summaries + SCCP +
-// escape facts) — and the table compares paths explored, solver checks, and
-// wall-clock across the `analysis: baseline|interproc` axis. The pruner is
-// sound in both modes (a guard is rewritten only when its panic side is
-// proved infeasible), so all three runs must agree on the verdict and every
-// issue; the harness asserts exactly that before it reports any numbers, and
-// additionally asserts the interprocedural mode never discharges fewer
-// guards or leaves more solver checks than the baseline.
+// twice — pruning off, and pruning on (the interprocedural analysis suite:
+// callgraph + summaries + SCCP + escape facts feeding the panic-guard
+// discharge) — and the table compares paths explored, solver checks, and
+// wall-clock. The pruner is sound (a guard is rewritten only when its panic
+// side is proved infeasible), so both runs must agree on the verdict, every
+// issue and the path count; the harness asserts exactly that, plus that
+// pruning discharges guards and never leaves more solver checks, and exits
+// non-zero otherwise.
 //
 // Besides the human-readable table, the harness writes BENCH_prune.json
-// (machine-readable, one record per version and analysis mode) into the
-// working directory.
+// (machine-readable, one record per version) into the working directory.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/dnsv/pipeline.h"
 #include "src/dns/zone.h"
@@ -51,23 +50,18 @@ std::string IssueDigest(const VerificationReport& report) {
 struct Row {
   const char* version = "";
   VerificationReport off;
-  VerificationReport baseline;
-  VerificationReport interproc;
+  VerificationReport pruned;
 };
 
 int RunAblation() {
   std::printf("Prune ablation: dataflow-discharged panic guards vs. plain exploration\n");
-  std::printf("zone: example.com (wildcard + delegation + CNAME)\n");
-  std::printf("analysis axis: baseline = PR-2 intraprocedural pruner; interproc =\n");
-  std::printf("SCCP + callee summaries + escape facts feeding the same pruner\n\n");
-  std::printf("%-8s %7s | %8s %10s %10s | %10s %10s | %s\n", "version", "paths",
-              "checks", "checks.base", "checks.ipa", "disch.base", "disch.ipa",
-              "pruned base/ipa");
+  std::printf("zone: example.com (wildcard + delegation + CNAME)\n\n");
+  std::printf("%-8s %7s | %10s %10s | %10s %10s\n", "version", "paths", "checks.off",
+              "checks.on", "discharged", "pruned");
 
   VerifyContext context;
   std::vector<Row> rows;
-  bool sound = true;
-  bool interproc_dominates = true;
+  bool ok = true;
   for (EngineVersion version : AllEngineVersions()) {
     Row row;
     row.version = EngineVersionName(version);
@@ -75,63 +69,49 @@ int RunAblation() {
     options.prune = false;
     row.off = RunVerifyPipeline(&context, version, AblationZone(), options);
     options.prune = true;
-    options.prune_interproc = false;
-    row.baseline = RunVerifyPipeline(&context, version, AblationZone(), options);
-    options.prune_interproc = true;
-    row.interproc = RunVerifyPipeline(&context, version, AblationZone(), options);
+    row.pruned = RunVerifyPipeline(&context, version, AblationZone(), options);
+    const StageStats* prune = row.pruned.FindStage("prune");
 
-    // Soundness gate: identical verdict and identical issue list across all
-    // three modes, or the numbers below are meaningless.
-    for (const VerificationReport* pruned : {&row.baseline, &row.interproc}) {
-      if (row.off.verified != pruned->verified || row.off.aborted != pruned->aborted ||
-          IssueDigest(row.off) != IssueDigest(*pruned)) {
-        std::printf("%-8s SOUNDNESS VIOLATION: pruned run disagrees with baseline\n",
-                    row.version);
-        sound = false;
-      }
-    }
-    // Monotonicity gate: the interprocedural facts may only help.
-    if (row.interproc.panics_discharged < row.baseline.panics_discharged ||
-        row.interproc.solver.z3_checks > row.baseline.solver.z3_checks) {
-      std::printf("%-8s REGRESSION: interproc analysis did worse than baseline\n",
+    // Soundness gate: identical verdict, issue list and path count, or the
+    // numbers below are meaningless.
+    if (row.off.verified != row.pruned.verified || row.off.aborted != row.pruned.aborted ||
+        IssueDigest(row.off) != IssueDigest(row.pruned) ||
+        row.off.engine_paths != row.pruned.engine_paths || prune == nullptr) {
+      std::printf("%-8s SOUNDNESS VIOLATION: pruned run disagrees with the unpruned one\n",
                   row.version);
-      interproc_dominates = false;
+      ok = false;
+      continue;
     }
-    std::printf("%-8s %7lld | %8lld %10lld %10lld | %10lld %10lld | %lld/%lld\n",
-                row.version, static_cast<long long>(row.off.engine_paths),
+    // Profit gate: guards discharged, and never more solver work.
+    if (prune->panics_discharged <= 0 ||
+        row.pruned.solver.z3_checks > row.off.solver.z3_checks) {
+      std::printf("%-8s REGRESSION: pruning discharged nothing or added solver checks\n",
+                  row.version);
+      ok = false;
+    }
+    std::printf("%-8s %7lld | %10lld %10lld | %10lld %10lld\n", row.version,
+                static_cast<long long>(row.off.engine_paths),
                 static_cast<long long>(row.off.solver.z3_checks),
-                static_cast<long long>(row.baseline.solver.z3_checks),
-                static_cast<long long>(row.interproc.solver.z3_checks),
-                static_cast<long long>(row.baseline.panics_discharged),
-                static_cast<long long>(row.interproc.panics_discharged),
-                static_cast<long long>(row.baseline.paths_pruned),
-                static_cast<long long>(row.interproc.paths_pruned));
+                static_cast<long long>(row.pruned.solver.z3_checks),
+                static_cast<long long>(prune->panics_discharged),
+                static_cast<long long>(prune->paths_pruned));
     rows.push_back(std::move(row));
   }
 
   std::string json = "[\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
-    struct Mode {
-      const char* analysis;
-      const VerificationReport* report;
-    };
-    const Mode modes[] = {{"baseline", &row.baseline}, {"interproc", &row.interproc}};
-    for (size_t m = 0; m < 2; ++m) {
-      const Mode& mode = modes[m];
-      json += StrCat("  {\"version\": \"", row.version, "\", \"analysis\": \"",
-                     mode.analysis, "\", \"paths_off\": ", row.off.engine_paths,
-                     ", \"paths_on\": ", mode.report->engine_paths,
-                     ", \"solver_checks_off\": ", row.off.solver.z3_checks,
-                     ", \"solver_checks_on\": ", mode.report->solver.z3_checks,
-                     ", \"seconds_off\": ", row.off.total_seconds,
-                     ", \"seconds_on\": ", mode.report->total_seconds,
-                     ", \"panics_discharged\": ", mode.report->panics_discharged,
-                     ", \"paths_pruned\": ", mode.report->paths_pruned,
-                     ", \"sccp_branches_folded\": ", mode.report->analysis.sccp_branches_folded,
-                     ", \"verdicts_agree\": ", sound ? "true" : "false", "}",
-                     i + 1 < rows.size() || m + 1 < 2 ? "," : "", "\n");
-    }
+    const StageStats& prune = *row.pruned.FindStage("prune");
+    json += StrCat("  {\"version\": \"", row.version, "\", \"paths_off\": ", row.off.engine_paths,
+                   ", \"paths_on\": ", row.pruned.engine_paths,
+                   ", \"solver_checks_off\": ", row.off.solver.z3_checks,
+                   ", \"solver_checks_on\": ", row.pruned.solver.z3_checks,
+                   ", \"seconds_off\": ", row.off.total_seconds,
+                   ", \"seconds_on\": ", row.pruned.total_seconds,
+                   ", \"panics_discharged\": ", prune.panics_discharged,
+                   ", \"paths_pruned\": ", prune.paths_pruned,
+                   ", \"sccp_branches_folded\": ", row.pruned.analysis.sccp_branches_folded,
+                   ", \"verdicts_agree\": true}", i + 1 < rows.size() ? "," : "", "\n");
   }
   json += "]\n";
   std::FILE* out = std::fopen("BENCH_prune.json", "w");
@@ -141,11 +121,10 @@ int RunAblation() {
     std::printf("\nwrote BENCH_prune.json\n");
   }
 
-  std::printf("expectation: identical verdicts, strictly fewer solver checks with\n");
-  std::printf("pruning on, and interproc discharging at least as many guards as the\n");
-  std::printf("baseline on every version; path counts match (discharged guards were\n");
-  std::printf("never feasible).\n");
-  return sound && interproc_dominates ? 0 : 1;
+  std::printf("expectation: identical verdicts and path counts (discharged guards were\n");
+  std::printf("never feasible), guards discharged and no more solver checks with\n");
+  std::printf("pruning on, on every version.\n");
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Solver-layer ablation: what the query cache and the interval pre-solver
 // (src/smt/backend.h) buy on the Fig.-11 zone. For each engine version the
-// same verification runs under three configurations — direct-to-Z3, cache
-// only, cache + pre-solver — and the table compares Z3 checks, cache hit
-// rate, pre-solver discharge rate, and wall-clock. The layers are sound by
-// construction (verdict-only caching, model replay), so all three runs must
+// same verification runs under two configurations — direct-to-Z3 and
+// cache + pre-solver — and the table compares Z3 checks, cache hit rate,
+// pre-solver discharge rate, and wall-clock. The layers are sound by
+// construction (verdict-only caching, model replay), so both runs must
 // agree on the verdict and every counterexample byte-for-byte; the harness
 // asserts exactly that before it reports any numbers.
 //
@@ -38,7 +38,6 @@ struct Config {
 
 constexpr Config kConfigs[] = {
     {"direct", SolverLayering::kDirect},
-    {"cache", SolverLayering::kCache},
     {"cache+presolve", SolverLayering::kCachePresolve},
 };
 
@@ -84,7 +83,7 @@ int RunAblation() {
       cells.push_back(std::move(cell));
     }
 
-    // Soundness gate: all three configurations must agree byte-for-byte.
+    // Soundness gate: both configurations must agree byte-for-byte.
     const VerificationReport& base = cells[0].report;
     for (size_t i = 1; i < cells.size(); ++i) {
       const VerificationReport& layered = cells[i].report;
@@ -136,8 +135,8 @@ int RunAblation() {
     std::printf("\nwrote BENCH_solver.json\n");
   }
 
-  std::printf("expectation: byte-identical verdicts and counterexamples across all\n");
-  std::printf("configs; strictly fewer Z3 checks with each layer enabled.\n");
+  std::printf("expectation: byte-identical verdicts and counterexamples across both\n");
+  std::printf("configs; strictly fewer Z3 checks with the layers enabled.\n");
   return sound ? 0 : 1;
 }
 

@@ -2,10 +2,10 @@
 # CI gate: tier-1 test suite in the normal configuration, then again under
 # AddressSanitizer + UndefinedBehaviorSanitizer (DNSV_SANITIZE), then a
 # ThreadSanitizer build (DNSV_TSAN — TSan cannot share a binary with ASan)
-# driving the threaded serving shell: the tests/server/ loopback suite plus
-# the multi-worker throughput smoke, where the UDP workers (each blocked in
-# recvmmsg), per-worker stats, and snapshot swaps actually race if they are
-# going to.
+# driving the threaded serving shell: the tests/server/ loopback suite,
+# whose sustained multi-worker load test is where the UDP workers (each
+# blocked in recvmmsg), per-worker stats, the packet cache and snapshot swaps
+# actually race if they are going to.
 #
 #   $ ci/check.sh            # all passes
 #   $ ci/check.sh --fast     # normal pass only
@@ -35,12 +35,6 @@ run_pass() {
   # under ASan/UBSan, which is where the no-crash/no-hang invariant is
   # actually enforced.
   "$build_dir"/tools/dnsv-fuzz --smoke
-  # Serving-shell gate (docs/SERVER.md): a short loopback UDP throughput run
-  # at 1 worker vs N workers. Emits BENCH_server.json with the single- vs
-  # multi-worker queries/sec; under the sanitized pass this doubles as a race
-  # check on the recvmmsg UDP workers, the stats blocks, and the snapshot
-  # swap.
-  "$build_dir"/bench/server_throughput --smoke
   # Incremental-verification gate (docs/INCREMENTAL.md): cold-verify into a
   # fresh store, then re-verify warm. The harness exits non-zero unless every
   # warm run replays byte-identically with zero new Z3 checks and >=95% layer
@@ -54,13 +48,17 @@ run_pass() {
 echo "=== pass 1: normal build + ctest ==="
 run_pass build
 
-# Prune-ablation gate: over all six engine versions, the interprocedural
-# analysis suite must discharge at least as many panic guards as the PR-2
-# baseline pruner and never leave more solver checks, with byte-identical
-# verdicts in all three modes (off / baseline / interproc). The harness
-# itself asserts all of that and exits non-zero on any regression; it also
-# refreshes BENCH_prune.json with one record per (version, analysis) pair.
+# Prune-ablation gate: over every engine version, pruning on must give the
+# verdicts, issues and path counts of pruning off, discharge guards, and
+# never leave more solver checks. The harness asserts all of that and exits
+# non-zero on any regression; it also refreshes BENCH_prune.json with one
+# record per version.
 build/bench/prune_ablation
+
+# Solver-ablation gate: direct Z3 vs the query cache + interval pre-solver on
+# every engine version — byte-identical verdicts and counterexamples, and
+# strictly fewer Z3 checks with the layers on. Refreshes BENCH_solver.json.
+build/bench/solver_ablation
 
 # Store-binding gate: the DNSV_STORE_DIR environment path, twice against a
 # fresh store. The second run must be served from the store (replayed) with
@@ -93,9 +91,8 @@ echo "=== pass 3: DNSV_TSAN=ON build + threaded server suite ==="
 # by construction, and the ASan pass already runs them threaded).
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 cmake -B build-tsan -S . -DDNSV_TSAN=ON
-cmake --build build-tsan -j "$jobs" --target server_test server_throughput
+cmake --build build-tsan -j "$jobs" --target server_test
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
   -R 'DnsServerTest|ServerStatsTest|ServePacketTest|CacheKey|PacketCacheTest|CachedServeTest|CacheDifferentialTest|DnsServerCacheTest|MinimumResponseTtl'
-build-tsan/bench/server_throughput --smoke
 
 echo "=== all checks passed ==="

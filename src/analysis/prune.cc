@@ -190,7 +190,7 @@ PruneStats PruneFunction(const Module& module, Function* fn, InterprocContext* i
                          AnalysisStats* analysis) {
   PruneStats stats;
 
-  // Phase 0 (interproc only): fold constant branches and delete the dead
+  // Phase 0 (with a context): fold constant branches and delete the dead
   // sides up front. The fixpoint below then runs on the already-shrunk CFG —
   // its reverse postorder and reachability are computed fresh from the
   // rewritten terminators, never reusing an ordering derived before the edge
@@ -249,23 +249,7 @@ PruneStats PruneFunction(const Module& module, Function* fn, InterprocContext* i
   return stats;
 }
 
-PruneStats PruneModule(Module* module) {
-  PruneStats stats;
-  for (const auto& fn : module->functions()) {
-    stats += PruneFunction(*module, fn.get());
-  }
-  return stats;
-}
-
 PruneStats PruneModule(Module* module, const PruneOptions& options, AnalysisStats* analysis) {
-  if (!options.interproc) {
-    PruneStats stats;
-    for (const auto& fn : module->functions()) {
-      stats += PruneFunction(*module, fn.get(), nullptr, analysis);
-    }
-    return stats;
-  }
-
   // Whole-module facts first. Summaries and points-to are computed on the
   // module as lifted; SCCP runs per function inside PruneFunction, after
   // which the context's instruction-indexed side table is renumbered along

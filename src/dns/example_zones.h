@@ -24,8 +24,8 @@ ZoneConfig BugHuntZone();
 
 // example.com with `num_a` A records on www — wide enough (default 40, ~1.2 kB
 // of answer) that the UDP clamp must truncate with TC=1 and only the TCP
-// fallback can serve it in full. Used by the server integration tests, the
-// dns_server selftest, and bench/server_throughput.
+// fallback can serve it in full. Used by the server integration tests and
+// the dns_server selftest.
 ZoneConfig WideRrsetZone(int num_a = 40);
 
 }  // namespace dnsv

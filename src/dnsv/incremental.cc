@@ -9,6 +9,7 @@
 #include "src/smt/query_cache.h"
 #include "src/store/codec.h"
 #include "src/store/qcache_io.h"
+#include "src/support/logging.h"
 #include "src/support/strings.h"
 
 namespace dnsv {
@@ -124,8 +125,11 @@ StoreBinding ResolveStore(const VerifyOptions& options) {
       mode = StoreMode::kCold;
     } else if (value == "incremental" || value == "on") {
       mode = StoreMode::kIncremental;
+    } else {
+      DNSV_LOG(kError) << "DNSV_STORE_FORCE=\"" << value
+                       << "\" is not one of off|shadow|cold|incremental|on";
+      std::abort();
     }
-    // Unrecognized values leave the option untouched, like DNSV_SOLVER_FORCE.
   }
   if (mode == StoreMode::kAuto) {
     mode = binding.store != nullptr ? StoreMode::kIncremental : StoreMode::kOff;
@@ -158,8 +162,7 @@ std::string VerifyOptionsDigest(const VerifyOptions& options) {
   return StrCat("q", options.extra_qname_labels, ".sum", options.use_summaries ? 1 : 0,
                 ".spec", options.use_manual_specs ? 1 : 0, ".max", options.max_issues,
                 ".safe", options.safety_only ? 1 : 0, ".cov",
-                options.check_path_coverage ? 1 : 0, ".prune", options.prune ? 1 : 0,
-                ".inter", options.prune_interproc ? 1 : 0, ".lay",
+                options.check_path_coverage ? 1 : 0, ".prune", options.prune ? 1 : 0, ".lay",
                 static_cast<int>(options.solver.layering), ".shadow",
                 options.solver.shadow_validate ? 1 : 0, ".to",
                 options.solver.check_timeout_ms);
@@ -202,9 +205,8 @@ std::string InterprocKey(uint64_t module_fingerprint,
                 "|roots:", HexU64(roots));
 }
 
-std::string PruneCheckKey(uint64_t module_fingerprint, bool interproc) {
-  return StrCat("prune|", kStoreSchemaVersion, "|mod:", HexU64(module_fingerprint),
-                "|inter:", interproc ? 1 : 0);
+std::string PruneCheckKey(uint64_t module_fingerprint) {
+  return StrCat("prune|", kStoreSchemaVersion, "|mod:", HexU64(module_fingerprint));
 }
 
 std::string SerializeReport(const VerificationReport& report, int64_t functions_total,
@@ -243,8 +245,6 @@ std::string SerializeReport(const VerificationReport& report, int64_t functions_
   enc.Int(report.spec_substitutions);
   enc.Bool(report.path_coverage_checked);
   enc.Bool(report.pruned);
-  enc.Int(report.panics_discharged);
-  enc.Int(report.paths_pruned);
   enc.Tag("analysis");
   EncodeAnalysisStats(&enc, report.analysis);
   enc.Tag("stages");
@@ -253,8 +253,6 @@ std::string SerializeReport(const VerificationReport& report, int64_t functions_
   for (const StageStats& stage : report.stages) {
     enc.Str(stage.stage);
     enc.Double(stage.seconds);
-    enc.Int(stage.solver_checks);
-    enc.Double(stage.solve_seconds);
     enc.Bool(stage.from_cache);
     enc.Int(stage.panics_discharged);
     enc.Int(stage.paths_pruned);
@@ -321,8 +319,6 @@ bool ParseReport(const std::string& payload, VerificationReport* report,
   out.spec_substitutions = dec.Int();
   out.path_coverage_checked = dec.Bool();
   out.pruned = dec.Bool();
-  out.panics_discharged = dec.Int();
-  out.paths_pruned = dec.Int();
   dec.Tag("analysis");
   DecodeAnalysisStats(&dec, &out.analysis);
   dec.Tag("stages");
@@ -336,8 +332,6 @@ bool ParseReport(const std::string& payload, VerificationReport* report,
     StageStats stage;
     stage.stage = dec.Str();
     stage.seconds = dec.Double();
-    stage.solver_checks = dec.Int();
-    stage.solve_seconds = dec.Double();
     stage.from_cache = dec.Bool();
     stage.panics_discharged = dec.Int();
     stage.paths_pruned = dec.Int();
@@ -386,8 +380,10 @@ std::string NormalizedReportText(const VerificationReport& report) {
   out += StrCat("specs verified=", report.manual_specs_verified,
                 " substituted=", report.spec_substitutions, "\n");
   out += StrCat("coverage ", report.path_coverage_checked ? 1 : 0, "\n");
-  out += StrCat("prune on=", report.pruned ? 1 : 0, " discharged=", report.panics_discharged,
-                " pruned=", report.paths_pruned, "\n");
+  const StageStats* prune = report.FindStage("prune");
+  out += StrCat("prune on=", report.pruned ? 1 : 0,
+                " discharged=", prune != nullptr ? prune->panics_discharged : 0,
+                " pruned=", prune != nullptr ? prune->paths_pruned : 0, "\n");
   // Analysis outcome counters are deterministic facts about the module;
   // the per-pass seconds are not, so only the counters participate.
   out += StrCat("analysis fns=", report.analysis.functions,

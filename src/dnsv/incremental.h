@@ -8,7 +8,7 @@
 //   fnmark     function cone hash + zone hash + options digest
 //   laymark    layer cone hash + zone hash + options digest
 //   interproc  pre-prune ModuleFingerprint + analysis-roots hash
-//   prune      pre-prune ModuleFingerprint (+ mode); payload holds the
+//   prune      pre-prune ModuleFingerprint; payload holds the
 //              post-prune fingerprint, cross-checked on warm runs
 //
 // so a changed engine source, zone, option set, or serialization schema can
@@ -40,7 +40,7 @@ inline constexpr char kPruneCheckKind[] = "prune";
 
 // Bump to invalidate every dnsv-owned artifact at once (serialization or
 // semantics changes that the content hashes cannot see).
-inline constexpr char kStoreSchemaVersion[] = "v2";
+inline constexpr char kStoreSchemaVersion[] = "v3";
 
 // The store + mode one pipeline run will use, after resolving defaults
 // (VerifyOptions.store vs DNSV_STORE_DIR) and the DNSV_STORE_FORCE override.
@@ -75,7 +75,7 @@ std::string LayerMarkerKey(uint64_t layer_cone_hash, const std::string& zone_has
                            const std::string& options_digest);
 std::string InterprocKey(uint64_t module_fingerprint,
                          const std::vector<std::string>& entry_points);
-std::string PruneCheckKey(uint64_t module_fingerprint, bool interproc);
+std::string PruneCheckKey(uint64_t module_fingerprint);
 
 // Full round-trip of a VerificationReport (issues, wire packets, stages,
 // solver counters, analysis stats) plus the dirty-set totals the replayed

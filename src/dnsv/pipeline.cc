@@ -463,14 +463,13 @@ class Confirmer {
   double seconds_ = 0;
 };
 
-StageStats MakeStage(const char* name, double seconds, int64_t checks = 0,
-                     double solve_seconds = 0, bool from_cache = false) {
+StageStats MakeStage(const char* name, double seconds, bool from_cache = false,
+                     const SolverStats& solver = {}) {
   StageStats stage;
   stage.stage = name;
   stage.seconds = seconds;
-  stage.solver_checks = checks;
-  stage.solve_seconds = solve_seconds;
   stage.from_cache = from_cache;
+  stage.solver = solver;
   return stage;
 }
 
@@ -492,13 +491,11 @@ std::shared_ptr<const CompiledEngine> VerifyContext::GetEngine(EngineVersion ver
 }
 
 std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion version,
-                                                                   bool interproc,
                                                                    ArtifactStore* store,
                                                                    bool replay_from_store) {
-  std::pair<EngineVersion, bool> key{version, interproc};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = pruned_engines_.find(key);
+    auto it = pruned_engines_.find(version);
     if (it != pruned_engines_.end()) {
       ++stats_.prune_cache_hits;
       return it->second;
@@ -516,9 +513,7 @@ std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion
   std::string interproc_key;
   if (store != nullptr) {
     pre_fingerprint = ModuleFingerprint(fresh->module());
-    if (interproc) {
-      interproc_key = InterprocKey(pre_fingerprint, EngineAnalysisRoots());
-    }
+    interproc_key = InterprocKey(pre_fingerprint, EngineAnalysisRoots());
   }
 
   // Runs the prune over the current `fresh` module. With a store and
@@ -528,25 +523,21 @@ std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion
   // computed facts are captured and persisted for the next process.
   auto run_prune = [&](bool allow_replay) {
     PruneOptions prune_options;
-    prune_options.interproc = interproc;
+    prune_options.entry_points = EngineAnalysisRoots();
     InterprocContext replayed;
     InterprocContext captured;
     AnalysisStats restored;
     bool from_store = false;
-    if (interproc) {
-      prune_options.entry_points = EngineAnalysisRoots();
-      if (allow_replay && store != nullptr) {
-        if (std::optional<std::string> payload =
-                store->Get(kInterprocArtifactKind, interproc_key)) {
-          if (ParseInterprocContext(*payload, &replayed, &restored)) {
-            prune_options.precomputed = &replayed;
-            from_store = true;
-          }
+    if (allow_replay && store != nullptr) {
+      if (std::optional<std::string> payload = store->Get(kInterprocArtifactKind, interproc_key)) {
+        if (ParseInterprocContext(*payload, &replayed, &restored)) {
+          prune_options.precomputed = &replayed;
+          from_store = true;
         }
       }
-      if (!from_store && store != nullptr) {
-        prune_options.capture = &captured;
-      }
+    }
+    if (!from_store && store != nullptr) {
+      prune_options.capture = &captured;
     }
     pruned->analysis = AnalysisStats{};
     pruned->stats = PruneModule(&fresh->mutable_module(), prune_options, &pruned->analysis);
@@ -555,7 +546,7 @@ std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion
       // counters come from the artifact; SCCP folds re-ran during pruning and
       // are already in pruned->analysis.
       pruned->analysis += restored;
-    } else if (store != nullptr && interproc) {
+    } else if (store != nullptr) {
       store->Put(kInterprocArtifactKind, interproc_key,
                  SerializeInterprocContext(captured, pruned->analysis));
     }
@@ -571,7 +562,7 @@ std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion
     // rewrite differently — distrust them and recompute from scratch. A
     // mismatch on a cold prune can only be a stale record; overwrite it.
     uint64_t post_fingerprint = ModuleFingerprint(fresh->module());
-    std::string prune_key = PruneCheckKey(pre_fingerprint, interproc);
+    std::string prune_key = PruneCheckKey(pre_fingerprint);
     bool matched = false;
     bool have_record = false;
     if (std::optional<std::string> payload = store->Get(kPruneCheckKind, prune_key)) {
@@ -603,7 +594,7 @@ std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion
   fresh->Freeze();
   pruned->engine = std::shared_ptr<const CompiledEngine>(std::move(fresh));
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = pruned_engines_.emplace(key, pruned);
+  auto [it, inserted] = pruned_engines_.emplace(version, pruned);
   if (inserted) {
     ++stats_.engine_prunes;
   } else {
@@ -614,13 +605,12 @@ std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion
 
 Result<std::shared_ptr<const LiftedZone>> VerifyContext::GetLiftedZone(EngineVersion version,
                                                                        const ZoneConfig& zone,
-                                                                       bool pruned,
-                                                                       bool interproc) {
+                                                                       bool pruned) {
   Result<ZoneConfig> canonical = CanonicalizeZone(zone);
   if (!canonical.ok()) {
     return Result<std::shared_ptr<const LiftedZone>>::Error(canonical.error());
   }
-  const char* mode_key = !pruned ? "|" : (interproc ? "|pruned-interproc|" : "|pruned|");
+  const char* mode_key = pruned ? "|pruned|" : "|";
   std::string key = StrCat(EngineVersionName(version), mode_key, canonical.value().ToText());
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -633,7 +623,7 @@ Result<std::shared_ptr<const LiftedZone>> VerifyContext::GetLiftedZone(EngineVer
   // Build outside the lock: lifting is the expensive part and GetEngine
   // below takes the same mutex.
   std::shared_ptr<const CompiledEngine> engine =
-      pruned ? GetPrunedEngine(version, interproc)->engine : GetEngine(version);
+      pruned ? GetPrunedEngine(version)->engine : GetEngine(version);
   auto lifted = std::make_shared<LiftedZone>();
   lifted->zone = std::move(canonical).value();
   lifted->image =
@@ -749,37 +739,33 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   VerifyContext::CacheStats stats_before = context->cache_stats();
   std::shared_ptr<const CompiledEngine> engine;
   if (options.prune) {
-    std::shared_ptr<const PrunedEngine> pruned = context->GetPrunedEngine(
-        version, options.prune_interproc, binding.store, binding.read_allowed());
+    std::shared_ptr<const PrunedEngine> pruned =
+        context->GetPrunedEngine(version, binding.store, binding.read_allowed());
     engine = pruned->engine;
     report.incremental.summaries_reused = pruned->summaries_from_store;
     report.incremental.prune_fingerprint_checked = pruned->prune_fingerprint_checked;
     VerifyContext::CacheStats stats_mid = context->cache_stats();
     bool cached = stats_mid.prune_cache_hits > stats_before.prune_cache_hits;
-    report.stages.push_back(
-        MakeStage("compile", cached ? 0 : pruned->compile_seconds, 0, 0, cached));
-    StageStats prune_stage =
-        MakeStage("prune", cached ? 0 : pruned->prune_seconds, 0, 0, cached);
+    report.stages.push_back(MakeStage("compile", cached ? 0 : pruned->compile_seconds, cached));
+    StageStats prune_stage = MakeStage("prune", cached ? 0 : pruned->prune_seconds, cached);
     prune_stage.panics_discharged = pruned->stats.panics_discharged;
     prune_stage.paths_pruned = pruned->stats.PathsPruned();
     report.stages.push_back(prune_stage);
     report.pruned = true;
-    report.panics_discharged = pruned->stats.panics_discharged;
-    report.paths_pruned = pruned->stats.PathsPruned();
     report.analysis = pruned->analysis;
   } else {
     engine = context->GetEngine(version);
     VerifyContext::CacheStats stats_mid = context->cache_stats();
-    report.stages.push_back(MakeStage(
-        "compile", ElapsedSeconds() - start, 0, 0,
-        stats_mid.engine_cache_hits > stats_before.engine_cache_hits));
+    report.stages.push_back(
+        MakeStage("compile", ElapsedSeconds() - start,
+                  stats_mid.engine_cache_hits > stats_before.engine_cache_hits));
   }
 
   // --- ZoneLiftStage ---
   VerifyContext::CacheStats stats_mid = context->cache_stats();
   double lift_start = ElapsedSeconds();
   Result<std::shared_ptr<const LiftedZone>> lifted_result =
-      context->GetLiftedZone(version, zone, options.prune, options.prune_interproc);
+      context->GetLiftedZone(version, zone, options.prune);
   if (!lifted_result.ok()) {
     report.aborted = true;
     report.abort_reason = lifted_result.error();
@@ -788,9 +774,8 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   }
   std::shared_ptr<const LiftedZone> lifted = std::move(lifted_result).value();
   VerifyContext::CacheStats stats_after = context->cache_stats();
-  report.stages.push_back(MakeStage(
-      "lift", ElapsedSeconds() - lift_start, 0, 0,
-      stats_after.zone_cache_hits > stats_mid.zone_cache_hits));
+  report.stages.push_back(MakeStage("lift", ElapsedSeconds() - lift_start,
+                                    stats_after.zone_cache_hits > stats_mid.zone_cache_hits));
 
   // --- DiffStage (store only): structural hashes -> dirty set ---
   // Cone hashes over the module actually being explored, checked against the
@@ -885,17 +870,11 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   // the cached exploration, which carries the counters but no time or
   // solver work, so the report's solver totals count only what this run did.
   const ExploreResult& spec_run = spec_needed && !explore_spec ? *spec : spec_side;
-  StageStats engine_stage = MakeStage("explore.engine", engine_side.seconds,
-                                      engine_side.solver.z3_checks,
-                                      engine_side.solver.solve_seconds);
-  engine_stage.solver = engine_side.solver;
-  report.stages.push_back(std::move(engine_stage));
+  report.stages.push_back(
+      MakeStage("explore.engine", engine_side.seconds, false, engine_side.solver));
   if (spec_needed) {
-    StageStats spec_stage =
-        MakeStage("explore.spec", spec_run.seconds, spec_run.solver.z3_checks,
-                  spec_run.solver.solve_seconds, /*from_cache=*/!explore_spec);
-    spec_stage.solver = spec_run.solver;
-    report.stages.push_back(std::move(spec_stage));
+    report.stages.push_back(MakeStage("explore.spec", spec_run.seconds,
+                                      /*from_cache=*/!explore_spec, spec_run.solver));
   }
   report.solver += engine_side.solver;
   report.solver += spec_run.solver;
@@ -1045,10 +1024,8 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   }
 
   double compare_wall = ElapsedSeconds() - compare_start;
-  StageStats compare_stage = MakeStage("compare", compare_wall - confirmer.seconds(),
-                                       solver.num_checks(), solver.solve_seconds());
-  compare_stage.solver = solver.stats();
-  report.stages.push_back(std::move(compare_stage));
+  report.stages.push_back(
+      MakeStage("compare", compare_wall - confirmer.seconds(), false, solver.stats()));
   report.stages.push_back(MakeStage("confirm", confirmer.seconds()));
   report.solver += solver.stats();
 

@@ -57,12 +57,11 @@ struct LiftedZone {
 // One engine version with the dataflow pruner applied (options.prune). A
 // separate compilation from the unpruned cache entry: pruning mutates the
 // module in place, and callers that did not opt in must keep seeing the
-// frontend's exact output. Baseline and interprocedural prunes are distinct
-// cache entries — the ablation axis compares them on the same version.
+// frontend's exact output.
 struct PrunedEngine {
   std::shared_ptr<const CompiledEngine> engine;
   PruneStats stats;
-  AnalysisStats analysis;  // zero for baseline prunes
+  AnalysisStats analysis;
   double compile_seconds = 0;
   double prune_seconds = 0;
   // Artifact-store provenance (docs/INCREMENTAL.md): whether the
@@ -88,31 +87,28 @@ class VerifyContext {
   std::shared_ptr<const CompiledEngine> GetEngine(EngineVersion version);
 
   // PruneStage input: compiles a private copy of `version` and runs
-  // PruneModule over it on first use, then serves the cached result. With
-  // `interproc`, the interprocedural suite (SCCP + summaries + escape facts,
-  // rooted at EngineAnalysisRoots) drives the pruner; the two modes are
-  // cached independently.
+  // PruneModule over it on first use (the interprocedural suite — SCCP +
+  // summaries + escape facts — rooted at EngineAnalysisRoots), then serves
+  // the cached result.
   //
   // With a `store`, the first computation persists the interprocedural facts
   // keyed by the pre-prune ModuleFingerprint (and replays them when
   // `replay_from_store`, skipping the whole-module passes), then cross-checks
   // the post-prune fingerprint against the recorded cold prune; a mismatch
   // discards the replay and recomputes from scratch. The in-memory cache key
-  // stays (version, interproc): the store only changes how the result is
-  // obtained, never what it is.
+  // stays the version: the store only changes how the result is obtained,
+  // never what it is.
   std::shared_ptr<const PrunedEngine> GetPrunedEngine(EngineVersion version,
-                                                      bool interproc = false,
                                                       ArtifactStore* store = nullptr,
                                                       bool replay_from_store = true);
 
   // ZoneLiftStage: canonicalizes + materializes on first use. Errors
-  // (invalid zones) are not cached. Unpruned / baseline-pruned /
-  // interproc-pruned lifts are cached under distinct keys — the heap image
-  // is built against the respective engine instance's type table.
+  // (invalid zones) are not cached. Unpruned and pruned lifts are cached
+  // under distinct keys — the heap image is built against the respective
+  // engine instance's type table.
   Result<std::shared_ptr<const LiftedZone>> GetLiftedZone(EngineVersion version,
                                                           const ZoneConfig& zone,
-                                                          bool pruned = false,
-                                                          bool interproc = false);
+                                                          bool pruned = false);
 
   // ExploreStage, spec side: finished (not aborted) explorations of the
   // rrlookup specification, compacted, keyed by everything the spec worker
@@ -140,8 +136,7 @@ class VerifyContext {
  private:
   mutable std::mutex mu_;
   std::map<EngineVersion, std::shared_ptr<const CompiledEngine>> engines_;
-  // Keyed by (version, interproc mode).
-  std::map<std::pair<EngineVersion, bool>, std::shared_ptr<const PrunedEngine>> pruned_engines_;
+  std::map<EngineVersion, std::shared_ptr<const PrunedEngine>> pruned_engines_;
   std::map<std::string, std::shared_ptr<const LiftedZone>> zones_;
   std::map<std::string, std::shared_ptr<const ExploreResult>> spec_explorations_;
   CacheStats stats_;

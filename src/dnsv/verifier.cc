@@ -33,7 +33,7 @@ std::string StageStats::ToString() const {
   }
   // Always report the count: "0 solver checks" and "no entry" mean different
   // things to a reader diffing two reports, so zero is printed, not omitted.
-  out += StrCat(", ", solver_checks, " solver checks (", solve_seconds, "s)");
+  out += StrCat(", ", solver.z3_checks, " solver checks (", solver.solve_seconds, "s)");
   if (stage == "prune") {
     out += StrCat(", ", panics_discharged, " panics discharged, ", paths_pruned,
                   " paths pruned");
@@ -78,6 +78,13 @@ std::string IncrementalStats::ToString() const {
   return out;
 }
 
+const StageStats* VerificationReport::FindStage(std::string_view name) const {
+  for (const StageStats& stage : stages) {
+    if (stage.stage == name) return &stage;
+  }
+  return nullptr;
+}
+
 std::string VerificationReport::ToString() const {
   std::string out = StrCat("=== DNS-V report: engine ", EngineVersionName(version), " ===\n");
   if (aborted) {
@@ -100,9 +107,9 @@ std::string VerificationReport::ToString() const {
     out += StrCat("  manual specs: ", manual_specs_verified, " refinement obligation(s) ",
                   "discharged, ", spec_substitutions, " call sites substituted\n");
   }
-  if (pruned) {
-    out += StrCat("  prune: ", panics_discharged, " panics discharged, ", paths_pruned,
-                  " paths pruned\n");
+  if (const StageStats* prune = FindStage("prune"); pruned && prune != nullptr) {
+    out += StrCat("  prune: ", prune->panics_discharged, " panics discharged, ",
+                  prune->paths_pruned, " paths pruned\n");
   }
   if (!analysis.IsZero()) {
     out += StrCat("  analysis: ", analysis.ToString(), "\n");

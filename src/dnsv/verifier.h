@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/summary.h"
@@ -64,19 +65,14 @@ struct VerifyOptions {
   // to serial mode.
   bool parallel_explore = true;
   // Run the AbsIR dataflow pruner (src/analysis) over the compiled module
-  // before symbolic execution: panic guards the abstract interpretation
-  // discharges become jmps, and unreachable blocks are deleted. Sound by
-  // construction — a guard is only rewritten when its panic side is proved
-  // infeasible — so verdicts and counterexamples are identical with the flag
-  // on or off; only the solver-check count shrinks.
+  // before symbolic execution, fed the interprocedural analysis suite
+  // (src/analysis/{callgraph,summary,sccp,alias,escape}.h): SCCP folds the
+  // version feature gates out of the CFG, panic guards the abstract
+  // interpretation discharges become jmps, and unreachable blocks are
+  // deleted. Sound by construction — a guard is only rewritten when its
+  // panic side is proved infeasible — so verdicts and counterexamples are
+  // identical with the flag on or off; only the solver-check count shrinks.
   bool prune = false;
-  // With `prune`: feed the pruner the interprocedural analysis suite
-  // (src/analysis/{callgraph,summary,sccp,alias,escape}.h). SCCP folds the
-  // version feature gates out of the CFG and callee summaries / escape facts
-  // discharge strictly more guards than the intraprocedural baseline —
-  // verdicts stay byte-identical either way, only more solver checks vanish.
-  // false pins the exact PR 2 baseline pruner (the ablation axis).
-  bool prune_interproc = true;
   // Solver-access policy (src/smt/backend.h): which layers sit between the
   // sessions and Z3 (query cache, interval pre-solver), shadow validation,
   // and the per-check timeout. Every session the pipeline creates — explore
@@ -136,19 +132,17 @@ struct StageStats {
   std::string stage;  // compile | prune | lift | explore.engine | explore.spec
                       // | compare | confirm
   double seconds = 0;
-  int64_t solver_checks = 0;
-  double solve_seconds = 0;   // portion of `seconds` spent inside Z3
-  bool from_cache = false;    // compile/prune/lift/explore.spec: served from the
-                              // VerifyContext cache (explore.spec then shows 0 s
-                              // and no solver work)
+  bool from_cache = false;  // compile/prune/lift/explore.spec: served from the
+                            // VerifyContext cache (explore.spec then shows 0 s
+                            // and no solver work)
   // Prune stage only: guards proved safe and rewritten, and total paths the
   // rewrite removes from exploration (discharged guards + deleted blocks).
   int64_t panics_discharged = 0;
   int64_t paths_pruned = 0;
-  // Solver-layer counters for this stage's session(s). `solver.z3_checks`
-  // equals `solver_checks` above; the extra fields only light up when the
-  // cache / pre-solver layers are enabled, and ToString prints them only
-  // then.
+  // Solver counters for this stage's session(s): `solver.z3_checks` and
+  // `solver.solve_seconds` (the portion of `seconds` spent inside Z3) are
+  // always printed; the layer fields only light up when the cache /
+  // pre-solver layers are enabled, and ToString prints them only then.
   SolverStats solver;
 
   std::string ToString() const;
@@ -197,14 +191,13 @@ struct VerificationReport {
   int64_t spec_substitutions = 0;      // call sites served by a manual spec
   bool path_coverage_checked = false;  // the full-path meta-check ran and held
   bool pruned = false;                 // exploration ran on the pruned module
-  int64_t panics_discharged = 0;       // guards proved safe by the pruner
-  int64_t paths_pruned = 0;            // discharged guards + removed blocks
   // Interprocedural-analysis breakdown (per-pass wall clock + outcome
-  // counters), zero unless the prune stage ran in interproc mode. Printed
-  // alongside the SolverStats lines.
+  // counters), zero unless the prune stage ran. Printed alongside the
+  // SolverStats lines.
   AnalysisStats analysis;
   // Per-stage observability: one entry per executed pipeline stage, in
   // execution order (explore.engine/explore.spec may have run concurrently).
+  // The "prune" entry carries the pruner's counters.
   std::vector<StageStats> stages;
   bool explored_in_parallel = false;
   // Solver-layer counters aggregated over every session this run created
@@ -215,6 +208,8 @@ struct VerificationReport {
   // store is bound.
   IncrementalStats incremental;
 
+  // The first stage named `name`, or null when that stage did not run.
+  const StageStats* FindStage(std::string_view name) const;
   std::string ToString() const;
 };
 

@@ -1354,7 +1354,6 @@ std::string VersionToken(const std::string& version_name) {
 
 PruneStats PruneForCodegen(Module* module) {
   PruneOptions options;
-  options.interproc = true;
   options.entry_points = EngineAnalysisRoots();
   AnalysisStats analysis;
   return PruneModule(module, options, &analysis);

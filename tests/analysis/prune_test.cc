@@ -137,9 +137,10 @@ TEST_F(PruneTest, SolverDropsPanicEdgeOfDischargedGuard) {
 TEST_F(PruneTest, ModuleAggregatesStats) {
   Function* bounded = BuildBoundedLoop();
   Function* unprovable = BuildUnprovableGuard();
-  (void)bounded;
-  (void)unprovable;
-  PruneStats stats = PruneModule(&module_);
+  // Both functions are entry points: no call-site facts specialize them.
+  PruneOptions options;
+  options.entry_points = {bounded->name(), unprovable->name()};
+  PruneStats stats = PruneModule(&module_, options, nullptr);
   EXPECT_EQ(stats.functions_analyzed, 2);
   EXPECT_EQ(stats.panics_discharged, 1);
   EXPECT_EQ(stats.panic_blocks_removed, 1);

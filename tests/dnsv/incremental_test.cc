@@ -160,6 +160,15 @@ TEST_F(IncrementalTest, EnvForceOffWinsOverExplicitStore) {
   EXPECT_EQ(store.GetStats().total_count, 0);
 }
 
+TEST(IncrementalStoreForce, UnknownModeStopsTheRun) {
+  for (const char* value : {"shaddow", ""}) {
+    SCOPED_TRACE(value);
+    ::setenv("DNSV_STORE_FORCE", value, 1);
+    EXPECT_DEATH(ResolveStore(VerifyOptions{}), "off\\|shadow\\|cold\\|incremental\\|on");
+  }
+  ::unsetenv("DNSV_STORE_FORCE");
+}
+
 // Janus's core scenario: verify v3.0, then verify the edited engine (dev).
 // The changed resolve cone is recomputed; every untouched layer's marker
 // carries across the version boundary because the keys are content hashes,
@@ -225,7 +234,7 @@ TEST_F(IncrementalTest, KeysSpellOutTheirInputs) {
   EXPECT_NE(ReportKey("s", "z", "o"), ReportKey("s", "z2", "o"));
   EXPECT_NE(FunctionMarkerKey(1, "z", "o"), FunctionMarkerKey(2, "z", "o"));
   EXPECT_NE(LayerMarkerKey(1, "z", "o"), FunctionMarkerKey(1, "z", "o"));
-  EXPECT_NE(PruneCheckKey(1, true), PruneCheckKey(1, false));
+  EXPECT_NE(PruneCheckKey(1), PruneCheckKey(2));
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <thread>
 
 #include "src/dns/example_zones.h"
 #include "src/dnsv/incremental.h"
 #include "src/engine/engine.h"
+#include "src/support/strings.h"
 
 namespace dnsv {
 namespace {
@@ -83,13 +85,6 @@ VerifyOptions GateOptions() {
   return options;
 }
 
-const StageStats* FindStage(const VerificationReport& report, const std::string& name) {
-  for (const StageStats& stage : report.stages) {
-    if (stage.stage == name) return &stage;
-  }
-  return nullptr;
-}
-
 TEST(PipelineCache, TwoZonesOneVersionCompileOnce) {
   VerifyContext context;
   int64_t compiles_before = CompiledEngine::num_compiles();
@@ -152,15 +147,32 @@ TEST(PipelineCache, ProcessWideGetCachedReturnsSameEngine) {
   EXPECT_EQ(CompiledEngine::num_compiles(), compiles_after_first);
 }
 
+// FNV-1a 64 of NormalizedReportText for every release-gate pair, in
+// AllEngineVersions() x GateZones() order. These pin the verifier's output:
+// a refactor or a deleted option must leave every one of them unchanged.
+constexpr const char* kGateReportDigests[] = {
+    "968b848a2ce57bc5", "f4974698d7a1ee5d", "6daf2a9a7f14ada2",  // v1.0
+    "835ed0dca902d5bf", "0fc9025b331c182d", "17a771540d732692",  // v2.0
+    "6b231c25a3973af6", "392d171457f57752", "1c437ec64cf0d2a1",  // v3.0
+    "ad38cc4d81981140", "3690a24260058b44", "7d95b429b89126e7",  // dev
+    "19730d981cda30bb", "f0abc62a26ba9f08", "cf8ba45d9a58c3ef",  // golden
+    "c2634e46d11babf6", "de6e441168d88129", "0d4496be61f8d6b5",  // v4.0
+    "e6cf5ad1648108f5", "ccd352e434f28c37", "0c56bcb2b3db319e",  // v5.0
+};
+
 // Spec reuse across versions: over the release gate, one context explores
 // the spec once per distinct (spec cone, zone) — rrlookup has four distinct
 // pruned cones across the seven versions (v1.0; v2.0/v3.0/dev/golden; v4.0;
-// v5.0) — and every report is the one a fresh context produces.
+// v5.0) — and every report is the one a fresh context produces, with the
+// pinned digest.
 TEST(PipelineSpecCache, ReleaseGateMatchesFreshContexts) {
   const VerifyOptions options = GateOptions();
+  const std::vector<ZoneConfig> zones = GateZones();
+  ASSERT_EQ(AllEngineVersions().size() * zones.size(), std::size(kGateReportDigests));
+  const char* const* expected_digest = kGateReportDigests;
   VerifyContext shared;
   for (EngineVersion version : AllEngineVersions()) {
-    for (const ZoneConfig& zone : GateZones()) {
+    for (const ZoneConfig& zone : zones) {
       VerifyContext::CacheStats before = shared.cache_stats();
       VerificationReport reused = RunVerifyPipeline(&shared, version, zone, options);
       VerifyContext fresh;
@@ -168,7 +180,9 @@ TEST(PipelineSpecCache, ReleaseGateMatchesFreshContexts) {
       ASSERT_FALSE(reused.aborted) << reused.abort_reason;
       EXPECT_EQ(NormalizedReportText(reused), NormalizedReportText(alone))
           << EngineVersionName(version);
-      const StageStats* spec = FindStage(reused, "explore.spec");
+      EXPECT_EQ(HexU64(Fnv1a64(NormalizedReportText(reused))), *expected_digest++)
+          << EngineVersionName(version) << " zone " << zone.origin.ToString();
+      const StageStats* spec = reused.FindStage("explore.spec");
       ASSERT_NE(spec, nullptr);
       bool hit = shared.cache_stats().spec_cache_hits > before.spec_cache_hits;
       EXPECT_EQ(spec->from_cache, hit);
@@ -193,15 +207,15 @@ TEST(PipelineSpecCache, OptionOrZoneChangeMisses) {
   VerifyOptions deeper = options;
   deeper.extra_qname_labels = 2;
   VerificationReport deep = RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneA(), deeper);
-  EXPECT_FALSE(FindStage(deep, "explore.spec")->from_cache);
+  EXPECT_FALSE(deep.FindStage("explore.spec")->from_cache);
   VerificationReport other = RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneB(), options);
-  EXPECT_FALSE(FindStage(other, "explore.spec")->from_cache);
+  EXPECT_FALSE(other.FindStage("explore.spec")->from_cache);
   EXPECT_EQ(context.cache_stats().spec_explorations, 3);
   EXPECT_EQ(context.cache_stats().spec_cache_hits, 0);
   // The unchanged (zone, options) pair hits, on another version too: v3.0
   // shares golden's spec cone.
   VerificationReport again = RunVerifyPipeline(&context, EngineVersion::kV3, ZoneA(), options);
-  EXPECT_TRUE(FindStage(again, "explore.spec")->from_cache);
+  EXPECT_TRUE(again.FindStage("explore.spec")->from_cache);
   EXPECT_EQ(context.cache_stats().spec_cache_hits, 1);
 }
 
@@ -284,15 +298,15 @@ TEST(PipelineStages, ReportCarriesEveryStage) {
   for (const StageStats& stage : report.stages) {
     names.push_back(stage.stage);
     EXPECT_GE(stage.seconds, 0.0) << stage.stage;
-    EXPECT_GE(stage.solve_seconds, 0.0) << stage.stage;
-    EXPECT_LE(stage.solve_seconds, stage.seconds + 1e-9) << stage.stage;
+    EXPECT_GE(stage.solver.solve_seconds, 0.0) << stage.stage;
+    EXPECT_LE(stage.solver.solve_seconds, stage.seconds + 1e-9) << stage.stage;
   }
   EXPECT_EQ(names, (std::vector<std::string>{"compile", "lift", "explore.engine",
                                              "explore.spec", "compare", "confirm"}));
   // The compare stage is where solver checks happen on a clean zone.
   int64_t stage_checks = 0;
   for (const StageStats& stage : report.stages) {
-    stage_checks += stage.solver_checks;
+    stage_checks += stage.solver.z3_checks;
   }
   EXPECT_EQ(stage_checks, report.solver.z3_checks)
       << "per-stage solver checks must add up to the report total";
@@ -323,8 +337,6 @@ TEST(PipelineStages, ReportToStringGolden) {
   report.total_seconds = 1.5;
   report.explored_in_parallel = true;
   report.pruned = true;
-  report.panics_discharged = 5;
-  report.paths_pruned = 7;
   StageStats compile;
   compile.stage = "compile";
   compile.seconds = 0.25;
@@ -337,8 +349,8 @@ TEST(PipelineStages, ReportToStringGolden) {
   StageStats explore;
   explore.stage = "explore.engine";
   explore.seconds = 1;
-  explore.solver_checks = 34;
-  explore.solve_seconds = 0.5;
+  explore.solver.z3_checks = 34;
+  explore.solver.solve_seconds = 0.5;
   report.stages = {compile, prune, explore};
   // Stages with zero solver checks still print "0 solver checks": a zero and
   // a missing entry must stay distinguishable in report diffs.

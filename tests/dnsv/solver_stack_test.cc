@@ -80,21 +80,23 @@ TEST(SolverStackDifferential, LayersPreserveEveryObservableOnAllVersions) {
 }
 
 TEST(SolverStackDifferential, CacheSharesAcrossWorkersAndRuns) {
-  // Cache-only layering (no pre-solver in front absorbing the recurring
-  // bound queries): the engine and spec workers hit each other's entries
-  // within one run, and a second identical run is served entirely from the
-  // cache — zero new misses.
+  // The full stack, on a version and zone where queries get past the
+  // pre-solver, with the manual specs on: the spec exploration then hits
+  // entries stored earlier in the same run, and a second identical run is
+  // served entirely from the cache — zero new misses.
   QueryCache cache;
-  SolverConfig cache_only;
-  cache_only.layering = SolverLayering::kCache;
-  cache_only.cache = &cache;
+  VerifyOptions options;
+  options.use_summaries = true;
+  options.use_manual_specs = true;
+  options.solver.layering = SolverLayering::kCachePresolve;
+  options.solver.cache = &cache;
   VerifyContext context;
-  RunWith(&context, EngineVersion::kGolden, cache_only);
+  RunVerifyPipeline(&context, EngineVersion::kV1, Figure11Zone(), options);
   QueryCache::Stats first = cache.stats();
   if (!EnvForced()) {
-    EXPECT_GT(first.hits, 0);  // cross-worker sharing within the first run
+    EXPECT_GT(first.hits, 0);  // sharing within the first run
   }
-  RunWith(&context, EngineVersion::kGolden, cache_only);
+  RunVerifyPipeline(&context, EngineVersion::kV1, Figure11Zone(), options);
   QueryCache::Stats second = cache.stats();
   if (!EnvForced()) {
     EXPECT_EQ(second.misses, first.misses);

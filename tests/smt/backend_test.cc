@@ -419,6 +419,15 @@ TEST(SolverFacade, EnvOverrideParses) {
   unsetenv("DNSV_SOLVER_FORCE");
   SolverConfig untouched = ApplySolverEnvOverride(base);
   EXPECT_EQ(untouched.layering, base.layering);
+  // A value outside the list — the removed cache-only layering, a typo of
+  // the CI gate's mode, an empty assignment — must stop the run, not fall
+  // back to the default stack.
+  for (const char* value : {"cache", "shaddow", ""}) {
+    SCOPED_TRACE(value);
+    ASSERT_EQ(setenv("DNSV_SOLVER_FORCE", value, 1), 0);
+    EXPECT_DEATH(ApplySolverEnvOverride(base), "direct\\|off\\|presolve\\|cache\\+presolve\\|shadow");
+  }
+  unsetenv("DNSV_SOLVER_FORCE");
 }
 
 }  // namespace
