@@ -29,7 +29,7 @@ int RunTable1() {
   std::unique_ptr<CompiledEngine> engine = CompiledEngine::Compile(EngineVersion::kGolden);
   LabelInterner interner;
   ConcreteMemory concrete_memory;
-  HeapImage image = BuildHeapImage(zone, &interner, engine->types(), &concrete_memory);
+  HeapImage image = BuildHeapImage(zone, &interner, engine->types(), &concrete_memory).value();
 
   TermArena arena;
   SolverSession solver(&arena);

@@ -5,7 +5,8 @@
 # driving the threaded serving shell: the tests/server/ loopback suite,
 # whose sustained multi-worker load test is where the UDP workers (each
 # blocked in recvmmsg), per-worker stats, the packet cache and snapshot swaps
-# actually race if they are going to.
+# actually race if they are going to — plus the symbolic state the verifier's
+# threads share.
 #
 #   $ ci/check.sh            # all passes
 #   $ ci/check.sh --fast     # normal pass only
@@ -83,16 +84,21 @@ echo "=== pass 2: DNSV_SANITIZE=address,undefined build + ctest ==="
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 run_pass build-asan -DDNSV_SANITIZE=address,undefined
 
-echo "=== pass 3: DNSV_TSAN=ON build + threaded server suite ==="
+echo "=== pass 3: DNSV_TSAN=ON build + threaded server suite + shared symbolic state ==="
 # halt_on_error: a single race report fails the run. second_deadlock_stack
 # makes lock-order reports actionable. The pass is scoped to the threaded
-# serving shell — TSan slows Z3-heavy verification tests by an order of
-# magnitude for no additional coverage (the explore workers share no state
-# by construction, and the ASan pass already runs them threaded).
+# serving shell and to the symbolic state that threads share — TSan slows
+# Z3-heavy verification tests by an order of magnitude, so the whole
+# pipeline suite stays in the ASan pass. Explore workers and compare stages
+# share immutable symbolic nodes (the lifted values behind VerifyContext's
+# spec-exploration cache) through atomic reference counts, and write a node
+# only while they own it alone (src/sym/shared.h); the small parallel-explore
+# pipeline test (a spec-cache fill, then two concurrent hits) and the
+# sharing tests of tests/sym/ are where that would race.
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 cmake -B build-tsan -S . -DDNSV_TSAN=ON
-cmake --build build-tsan -j "$jobs" --target server_test
+cmake --build build-tsan -j "$jobs" --target server_test dnsv_test sym_test
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'DnsServerTest|ServerStatsTest|ServePacketTest|CacheKey|PacketCacheTest|CachedServeTest|CacheDifferentialTest|DnsServerCacheTest|MinimumResponseTtl'
+  -R 'DnsServerTest|ServerStatsTest|ServePacketTest|CacheKey|PacketCacheTest|CachedServeTest|CacheDifferentialTest|DnsServerCacheTest|MinimumResponseTtl|PipelineSpecCache.ParallelFillThenConcurrentHits|SymSharingTest|SymExecTest.(StoresAfterAFork|AllocOnOneBranch|SummaryWriteBack)'
 
 echo "=== all checks passed ==="

@@ -63,6 +63,8 @@ int main(int argc, char** argv) {
     std::printf(";; %s %s\n", qname_text.c_str(), RrTypeName(qtype));
     if (result.panicked) {
       std::printf("!! engine panic: %s\n", result.panic_message.c_str());
+    } else if (result.unencodable) {
+      std::printf("!! SERVFAIL: a label of the qname got no code (interner exhausted)\n");
     } else {
       std::printf("%s\n", result.response.ToString().c_str());
     }

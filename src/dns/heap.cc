@@ -87,9 +87,9 @@ class HeapBuilder {
         rrset_layout_(types, kStructRrSet),
         node_layout_(types, kStructTreeNode) {}
 
-  HeapImage Build() {
+  Result<HeapImage> Build() {
     HeapImage image;
-    image.origin_labels = MakeLabelList(interner_->InternName(zone_.origin));
+    image.origin_labels = Labels(zone_.origin);
 
     // Flat spec list, canonical order.
     std::vector<Value> flat;
@@ -103,7 +103,7 @@ class HeapBuilder {
     // are attached at their relative label paths (root-first).
     BuildNode apex;
     apex.label = zone_.origin.labels.empty() ? "" : zone_.origin.labels[0];
-    apex.label_code = interner_->Intern(apex.label);
+    apex.label_code = Code(apex.label);
     for (const ZoneRecord& record : zone_.records) {
       BuildNode* node = &apex;
       const auto& labels = record.name.labels;
@@ -111,7 +111,7 @@ class HeapBuilder {
       // Walk root-first through the relative labels.
       for (size_t i = relative; i > 0; --i) {
         const std::string& label = labels[i - 1];
-        int64_t code = interner_->Intern(label);
+        int64_t code = Code(label);
         auto [it, inserted] = node->children.try_emplace(code);
         if (inserted) {
           it->second = std::make_unique<BuildNode>();
@@ -122,19 +122,44 @@ class HeapBuilder {
       }
       node->records.push_back(&record);
     }
+    if (!status_.ok()) {
+      return Result<HeapImage>::Error(status_.message());
+    }
     image.apex_ptr = AllocNode(apex);
     image.num_tree_nodes = num_nodes_;
     return image;
   }
 
  private:
+  // Interning goes through these two, which remember the first label that
+  // got no code; Build then fails with it (the codes it read meanwhile are
+  // placeholders and the image is discarded).
+  int64_t Code(const std::string& label) {
+    Result<int64_t> code = interner_->Intern(label);
+    if (!code.ok()) {
+      if (status_.ok()) {
+        status_ = Status::Error(code.error());
+      }
+      return 0;
+    }
+    return code.value();
+  }
+  Value Labels(const DnsName& name) {
+    Status interned;
+    std::vector<int64_t> codes = interner_->InternName(name, &interned);
+    if (!interned.ok() && status_.ok()) {
+      status_ = interned;
+    }
+    return MakeLabelList(codes);
+  }
+
   Value MakeRr(const ZoneRecord& record) {
     std::vector<Value> fields(rr_layout_.num_fields());
-    fields[rr_layout_.index("rname")] = MakeLabelList(interner_->InternName(record.name));
+    fields[rr_layout_.index("rname")] = Labels(record.name);
     fields[rr_layout_.index("rtype")] = Value::Int(static_cast<int64_t>(record.type));
     fields[rr_layout_.index("rdataInt")] = Value::Int(record.rdata.value);
     fields[rr_layout_.index("rdataName")] =
-        MakeLabelList(interner_->InternName(record.rdata.name));
+        Labels(record.rdata.name);
     return Value::Struct(std::move(fields));
   }
 
@@ -205,6 +230,7 @@ class HeapBuilder {
   StructLayout rrset_layout_;
   StructLayout node_layout_;
   int num_nodes_ = 0;
+  Status status_;
 };
 
 std::string DecodeName(const Value& labels, const LabelInterner& interner) {
@@ -225,8 +251,8 @@ std::string DecodeName(const Value& labels, const LabelInterner& interner) {
 
 }  // namespace
 
-HeapImage BuildHeapImage(const ZoneConfig& zone, LabelInterner* interner,
-                         const TypeTable& types, ConcreteMemory* memory) {
+Result<HeapImage> BuildHeapImage(const ZoneConfig& zone, LabelInterner* interner,
+                                 const TypeTable& types, ConcreteMemory* memory) {
   DNSV_CHECK_MSG(ValidateEngineLayout(types).ok(), "engine layout mismatch");
   HeapBuilder builder(zone, interner, types, memory);
   return builder.Build();
@@ -318,8 +344,13 @@ ResponseView DecodeResponse(const Value& response, const ConcreteMemory& memory,
   return ResponseDecoder(types, interner).Decode(response, memory);
 }
 
-Value QnameValue(const DnsName& name, LabelInterner* interner) {
-  return MakeLabelList(interner->InternName(name));
+Result<Value> QnameValue(const DnsName& name, LabelInterner* interner) {
+  Status interned;
+  std::vector<int64_t> codes = interner->InternName(name, &interned);
+  if (!interned.ok()) {
+    return Result<Value>::Error(interned.message());
+  }
+  return MakeLabelList(codes);
 }
 
 }  // namespace dnsv

@@ -48,9 +48,10 @@ class StructLayout {
 // with the fields the control plane expects.
 Status ValidateEngineLayout(const TypeTable& types);
 
-// Builds the heap image for `zone` (which must already be canonical).
-HeapImage BuildHeapImage(const ZoneConfig& zone, LabelInterner* interner,
-                         const TypeTable& types, ConcreteMemory* memory);
+// Builds the heap image for `zone` (which must already be canonical). Fails
+// when a label gets no code from `interner` (LabelInterner::Intern).
+Result<HeapImage> BuildHeapImage(const ZoneConfig& zone, LabelInterner* interner,
+                                 const TypeTable& types, ConcreteMemory* memory);
 
 // --- response decoding (for examples, tests, and counterexample reports) ---
 
@@ -100,8 +101,9 @@ class ResponseDecoder {
   int f_rname_, f_rtype_, f_rdata_int_, f_rdata_name_;
 };
 
-// Builds the engine-order []int value for a query name.
-Value QnameValue(const DnsName& name, LabelInterner* interner);
+// Builds the engine-order []int value for a query name; fails when a label
+// gets no code from `interner`.
+Result<Value> QnameValue(const DnsName& name, LabelInterner* interner);
 
 }  // namespace dnsv
 

@@ -71,7 +71,7 @@ LabelInterner::LabelInterner() {
   by_code_.emplace(kWildcardCode, kWildcardLabel);
 }
 
-int64_t LabelInterner::Intern(const std::string& raw_label) {
+Result<int64_t> LabelInterner::Intern(const std::string& raw_label) {
   std::string label = ToLowerAscii(raw_label);
   auto it = by_label_.find(label);
   if (it != by_label_.end()) {
@@ -81,7 +81,9 @@ int64_t LabelInterner::Intern(const std::string& raw_label) {
   auto next = by_label_.lower_bound(label);
   int64_t hi = next != by_label_.end() ? next->second : kMaxCode;
   int64_t lo = next != by_label_.begin() ? std::prev(next)->second : kMinCode;
-  DNSV_CHECK_MSG(hi - lo >= 2, "label code space exhausted between neighbors of: " + label);
+  if (hi - lo < 2) {
+    return Result<int64_t>::Error("label code space exhausted between neighbors of: " + label);
+  }
   int64_t code = lo + (hi - lo) / 2;
   by_label_.emplace(std::move(label), code);
   by_code_.emplace(code, by_label_.find(ToLowerAscii(raw_label))->first);
@@ -117,11 +119,18 @@ std::string LabelInterner::DecodeApprox(int64_t code) const {
   return *below + "0";  // just after `below`, before the next interned label
 }
 
-std::vector<int64_t> LabelInterner::InternName(const DnsName& name) {
+std::vector<int64_t> LabelInterner::InternName(const DnsName& name, Status* status) {
   std::vector<int64_t> codes;
   codes.reserve(name.labels.size());
   for (auto it = name.labels.rbegin(); it != name.labels.rend(); ++it) {
-    codes.push_back(Intern(*it));
+    Result<int64_t> code = Intern(*it);
+    if (!code.ok()) {
+      if (status != nullptr) {
+        *status = Status::Error(code.error());
+      }
+      break;
+    }
+    codes.push_back(code.value());
   }
   return codes;
 }

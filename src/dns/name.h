@@ -44,12 +44,17 @@ struct DnsName {
 // Assigns integers to labels such that label order (bytewise, lowercase)
 // matches integer order, even when labels are interned incrementally: a new
 // label receives the midpoint of its lexicographic neighbors' codes.
+//
+// Midpoints halve the gap each time, so about 60 labels that keep landing
+// in the same gap (z, zz, zzz, ...) exhaust it. Interning then fails
+// instead of aborting: the caller rejects the zone or answers SERVFAIL.
 class LabelInterner {
  public:
   LabelInterner();
 
-  // Returns the code for `label`, interning it if needed.
-  int64_t Intern(const std::string& label);
+  // Returns the code for `label`, interning it if needed; fails when its
+  // neighbors' codes are adjacent, so no code is left between them.
+  Result<int64_t> Intern(const std::string& label);
 
   // Reverse lookup; returns "<label#code>" for unknown codes (these appear
   // when a solver model picks an integer strictly between interned labels).
@@ -66,7 +71,10 @@ class LabelInterner {
   int64_t max_code() const { return kMaxCode; }
 
   // Interns every label of `name`, returning engine-order (reversed) codes.
-  std::vector<int64_t> InternName(const DnsName& name);
+  // When a label gets no code (see Intern), the codes stop before it and
+  // *status (if given) holds Intern's error; the labels before it stay
+  // interned.
+  std::vector<int64_t> InternName(const DnsName& name, Status* status = nullptr);
 
   size_t size() const { return by_label_.size(); }
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "src/analysis/callgraph.h"
@@ -213,6 +214,7 @@ std::vector<ExploredPath> ImportPaths(const ExploreResult& worker, const char* t
   TermImporter importer(worker.arena.get(), arena, [tag](const std::string& name) {
     return IsSharedInputVar(name) ? name : StrCat(tag, "!", name);
   });
+  SymValueImporter values(&importer);
   std::vector<ExploredPath> paths;
   paths.reserve(worker.paths.size());
   for (const ExploredPath& path : worker.paths) {
@@ -221,7 +223,7 @@ std::vector<ExploredPath> ImportPaths(const ExploreResult& worker, const char* t
     imported.pc = importer.Import(path.pc);
     imported.panic_message = path.panic_message;
     if (path.kind == PathOutcome::Kind::kReturned) {
-      imported.response = ImportSymValue(path.response, &importer);
+      imported.response = values.Import(path.response);
     }
     paths.push_back(std::move(imported));
   }
@@ -236,11 +238,14 @@ void MarkReachable(const TermArena& arena, Term t, std::vector<bool>* seen) {
   }
 }
 
-void MarkReachable(const TermArena& arena, const SymValue& value, std::vector<bool>* seen) {
+// `nodes` holds the shared nodes already walked: paths share sub-trees.
+void MarkReachable(const TermArena& arena, const SymValue& value, std::vector<bool>* seen,
+                   std::unordered_set<const void*>* nodes) {
   MarkReachable(arena, value.term, seen);
   MarkReachable(arena, value.list_len, seen);
+  if (value.elems.empty() || !nodes->insert(value.elems.id()).second) return;
   for (const SymValue& elem : value.elems) {
-    MarkReachable(arena, elem, seen);
+    MarkReachable(arena, elem, seen, nodes);
   }
 }
 
@@ -254,9 +259,10 @@ void MarkReachable(const TermArena& arena, const SymValue& value, std::vector<bo
 ExploreResult Compact(const ExploreResult& worker) {
   const TermArena& from = *worker.arena;
   std::vector<bool> seen(from.size(), false);
+  std::unordered_set<const void*> nodes;
   for (const ExploredPath& path : worker.paths) {
     MarkReachable(from, path.pc, &seen);
-    MarkReachable(from, path.response, &seen);
+    MarkReachable(from, path.response, &seen, &nodes);
   }
   ExploreResult compact;
   compact.arena = std::make_unique<TermArena>();
@@ -264,11 +270,12 @@ ExploreResult Compact(const ExploreResult& worker) {
   for (uint32_t id = 0; id < seen.size(); ++id) {
     if (seen[id]) importer.Import(Term(id));
   }
+  SymValueImporter values(&importer);
   compact.paths.reserve(worker.paths.size());
   for (const ExploredPath& path : worker.paths) {
     ExploredPath copy = path;
     copy.pc = importer.Import(path.pc);
-    copy.response = ImportSymValue(path.response, &importer);
+    copy.response = values.Import(path.response);
     compact.paths.push_back(std::move(copy));
   }
   compact.summaries_computed = worker.summaries_computed;
@@ -410,7 +417,13 @@ class Confirmer {
     // interner: exact labels keep their exact codes, and synthesized labels
     // land strictly between the same interned neighbors as the model's code,
     // so the engine's relational label comparisons behave identically.
-    Value wire_qname = QnameValue(parsed.value().qname, &replay_interner_);
+    Result<Value> interned = QnameValue(parsed.value().qname, &replay_interner_);
+    if (!interned.ok()) {
+      replay.error = interned.error();
+      issue->wire = std::move(replay);
+      return;
+    }
+    const Value& wire_qname = interned.value();
     Value wire_qtype = Value::Int(static_cast<int64_t>(parsed.value().qtype));
     ExecOutcome engine_run =
         interp_.Run(engine_.resolve_fn(), {lifted_.image.apex_ptr, lifted_.image.origin_labels,
@@ -626,8 +639,12 @@ Result<std::shared_ptr<const LiftedZone>> VerifyContext::GetLiftedZone(EngineVer
       pruned ? GetPrunedEngine(version)->engine : GetEngine(version);
   auto lifted = std::make_shared<LiftedZone>();
   lifted->zone = std::move(canonical).value();
-  lifted->image =
+  Result<HeapImage> image =
       BuildHeapImage(lifted->zone, &lifted->interner, engine->types(), &lifted->memory);
+  if (!image.ok()) {
+    return Result<std::shared_ptr<const LiftedZone>>::Error(image.error());
+  }
+  lifted->image = std::move(image).value();
   lifted->max_owner_labels = MaxOwnerLabels(lifted->zone);
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = zones_.emplace(key, lifted);

@@ -25,8 +25,12 @@ Result<std::unique_ptr<AuthoritativeServer>> AuthoritativeServer::Create(
     server->backend_ = MakeInterpBackend(&server->engine_->module());
   }
   server->zone_ = std::move(canonical).value();
-  server->image_ = BuildHeapImage(server->zone_, &server->interner_, server->engine_->types(),
-                                  &server->memory_);
+  Result<HeapImage> built = BuildHeapImage(server->zone_, &server->interner_,
+                                           server->engine_->types(), &server->memory_);
+  if (!built.ok()) {
+    return Result<std::unique_ptr<AuthoritativeServer>>::Error(built.error());
+  }
+  server->image_ = std::move(built).value();
   server->decoder_ =
       std::make_unique<ResponseDecoder>(server->engine_->types(), server->interner_);
   // The zone arguments never change for a loaded zone; each query only
@@ -39,7 +43,13 @@ Result<std::unique_ptr<AuthoritativeServer>> AuthoritativeServer::Create(
 
 QueryResult AuthoritativeServer::RunLookup(const Function& fn, std::vector<Value>* args,
                                            const DnsName& qname, RrType qtype) {
-  (*args)[kQnameArg] = QnameValue(qname, &interner_);
+  Result<Value> qname_value = QnameValue(qname, &interner_);
+  if (!qname_value.ok()) {
+    QueryResult result;
+    result.unencodable = true;
+    return result;
+  }
+  (*args)[kQnameArg] = std::move(qname_value).value();
   (*args)[kQtypeArg].i = static_cast<int64_t>(qtype);
   // Blocks allocated past this point are query-scoped: a resolve run is a
   // pure lookup over the zone image (it never stores into zone blocks), so

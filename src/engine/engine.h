@@ -70,6 +70,9 @@ class CompiledEngine {
 struct QueryResult {
   bool panicked = false;
   std::string panic_message;
+  // A qname label got no code from the shard's interner (its code space
+  // between two neighbors ran out); the engine did not run.
+  bool unencodable = false;
   ResponseView response;
 };
 
@@ -80,7 +83,8 @@ struct QueryResult {
 // AOT-generated native code for the same version.
 class AuthoritativeServer {
  public:
-  // `zone` is canonicalized internally; fails on invalid zones, or when
+  // `zone` is canonicalized internally; fails on invalid zones, on zones
+  // whose labels exhaust the interner's code space, or when
   // `backend` is kCompiled and this binary carries no generated code for
   // `version`.
   static Result<std::unique_ptr<AuthoritativeServer>> Create(

@@ -12,16 +12,20 @@ struct Interpreter::Frame {
   std::unordered_map<uint32_t, Value> regs;
 };
 
+const Value& Interpreter::RegValue(const Frame& frame, const Operand& op) {
+  DNSV_CHECK(op.kind == Operand::Kind::kReg);
+  if (Function::IsParamReg(op.reg)) {
+    return frame.args[Function::ParamIndex(op.reg)];
+  }
+  auto it = frame.regs.find(op.reg);
+  DNSV_CHECK_MSG(it != frame.regs.end(), "register read before write");
+  return it->second;
+}
+
 Value Interpreter::EvalOperand(const Frame& frame, const Operand& op) {
   switch (op.kind) {
     case Operand::Kind::kReg:
-      if (Function::IsParamReg(op.reg)) {
-        return frame.args[Function::ParamIndex(op.reg)];
-      } else {
-        auto it = frame.regs.find(op.reg);
-        DNSV_CHECK_MSG(it != frame.regs.end(), "register read before write");
-        return it->second;
-      }
+      return RegValue(frame, op);
     case Operand::Kind::kIntConst:
       return Value::Int(op.imm);
     case Operand::Kind::kBoolConst:
@@ -43,8 +47,8 @@ ExecOutcome Interpreter::Run(const Function& function, const std::vector<Value>&
   return outcome;
 }
 
-ExecOutcome Interpreter::RunFrame(const Function& function, const std::vector<Value>& args,
-                                  int depth, int64_t* steps, int64_t max_steps) {
+ExecOutcome Interpreter::RunFrame(const Function& function, std::vector<Value> args, int depth,
+                                  int64_t* steps, int64_t max_steps) {
   auto panic = [&](const std::string& message) {
     ExecOutcome outcome;
     outcome.kind = ExecOutcome::Kind::kPanicked;
@@ -57,7 +61,7 @@ ExecOutcome Interpreter::RunFrame(const Function& function, const std::vector<Va
   DNSV_CHECK(args.size() == function.params().size());
   Frame frame;
   frame.fn = &function;
-  frame.args = args;
+  frame.args = std::move(args);
 
   const TypeTable& types = module_->types();
   BlockId current = function.entry();
@@ -171,7 +175,8 @@ ExecOutcome Interpreter::RunFrame(const Function& function, const std::vector<Va
           }
           const Function* callee = module_->GetFunction(instr.text);
           DNSV_CHECK_MSG(callee != nullptr, "call to unknown function " + instr.text);
-          ExecOutcome sub = RunFrame(*callee, call_args, depth + 1, steps, max_steps);
+          ExecOutcome sub =
+              RunFrame(*callee, std::move(call_args), depth + 1, steps, max_steps);
           if (!sub.ok()) {
             return sub;
           }
@@ -182,10 +187,11 @@ ExecOutcome Interpreter::RunFrame(const Function& function, const std::vector<Va
           frame.regs[index] = Value::List();
           break;
         case Opcode::kListLen:
-          frame.regs[index] = Value::Int(static_cast<int64_t>(operand(0).elems.size()));
+          frame.regs[index] =
+              Value::Int(static_cast<int64_t>(RegValue(frame, instr.operands[0]).elems.size()));
           break;
         case Opcode::kListGet: {
-          Value list = operand(0);
+          const Value& list = RegValue(frame, instr.operands[0]);
           int64_t i = operand(1).i;
           if (i < 0 || static_cast<size_t>(i) >= list.elems.size()) {
             return panic("index out of range");
@@ -210,7 +216,7 @@ ExecOutcome Interpreter::RunFrame(const Function& function, const std::vector<Va
           break;
         }
         case Opcode::kFieldGet: {
-          Value aggregate = operand(0);
+          const Value& aggregate = RegValue(frame, instr.operands[0]);
           DNSV_CHECK(aggregate.kind == Value::Kind::kStruct);
           DNSV_CHECK(instr.field_index >= 0 &&
                      static_cast<size_t>(instr.field_index) < aggregate.elems.size());

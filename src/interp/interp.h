@@ -39,7 +39,10 @@ class Interpreter {
  private:
   struct Frame;
   Value EvalOperand(const Frame& frame, const Operand& op);
-  ExecOutcome RunFrame(const Function& function, const std::vector<Value>& args, int depth,
+  // A register or parameter operand, read in place (aggregate reads then
+  // copy only the part they return).
+  const Value& RegValue(const Frame& frame, const Operand& op);
+  ExecOutcome RunFrame(const Function& function, std::vector<Value> args, int depth,
                        int64_t* steps, int64_t max_steps);
 
   const Module* module_;

@@ -122,6 +122,12 @@ ServeOutcome ServePacket(AuthoritativeServer* shard, const uint8_t* packet, size
     if (stats != nullptr) {
       stats->engine_panics.fetch_add(1, std::memory_order_relaxed);
     }
+  } else if (result.unencodable) {
+    // The shard's label codes ran out for this qname: SERVFAIL, keep serving.
+    view.rcode = Rcode::kServFail;
+    if (stats != nullptr) {
+      stats->unencodable_qnames.fetch_add(1, std::memory_order_relaxed);
+    }
   } else {
     view = result.response;
   }
@@ -158,7 +164,7 @@ ServeOutcome ServePacket(AuthoritativeServer* shard, const uint8_t* packet, size
   // (NOERROR / NXDOMAIN). The TTL gate rejects zero-TTL and record-free
   // responses via MinimumResponseTtl's 0 return.
   uint8_t rcode = outcome.wire[3] & 0xF;
-  if (cacheable_query && !outcome.truncated && !result.panicked &&
+  if (cacheable_query && !outcome.truncated && !result.panicked && !result.unencodable &&
       (rcode == static_cast<uint8_t>(Rcode::kNoError) ||
        rcode == static_cast<uint8_t>(Rcode::kNxDomain))) {
     uint32_t ttl = MinimumResponseTtl(outcome.wire);

@@ -24,6 +24,7 @@ void StatsSnapshot::Add(const ServerStats& worker) {
   encode_failures += get(worker.encode_failures);
   servfail_fallbacks += get(worker.servfail_fallbacks);
   engine_panics += get(worker.engine_panics);
+  unencodable_qnames += get(worker.unencodable_qnames);
   truncated_responses += get(worker.truncated_responses);
   edns_queries += get(worker.edns_queries);
   badvers_responses += get(worker.badvers_responses);
@@ -81,6 +82,7 @@ std::string StatsSnapshot::ToJson() const {
   field("encode_failures", encode_failures);
   field("servfail_fallbacks", servfail_fallbacks);
   field("engine_panics", engine_panics);
+  field("unencodable_qnames", unencodable_qnames);
   field("truncated_responses", truncated_responses);
   field("edns_queries", edns_queries);
   field("badvers_responses", badvers_responses);

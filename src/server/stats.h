@@ -29,6 +29,7 @@ struct alignas(64) ServerStats {
   std::atomic<uint64_t> encode_failures{0};   // encoder refused the response
   std::atomic<uint64_t> servfail_fallbacks{0};  // static SERVFAIL template sent
   std::atomic<uint64_t> engine_panics{0};     // data plane panicked (SERVFAIL)
+  std::atomic<uint64_t> unencodable_qnames{0};  // qname label got no code (SERVFAIL)
   std::atomic<uint64_t> truncated_responses{0};  // TC=1 sent (UDP clamp hit)
   std::atomic<uint64_t> edns_queries{0};      // parsed queries carrying an OPT
   std::atomic<uint64_t> badvers_responses{0};  // BADVERS sent (EDNS version > 0)
@@ -57,6 +58,7 @@ struct StatsSnapshot {
   uint64_t encode_failures = 0;
   uint64_t servfail_fallbacks = 0;
   uint64_t engine_panics = 0;
+  uint64_t unencodable_qnames = 0;
   uint64_t truncated_responses = 0;
   uint64_t edns_queries = 0;
   uint64_t badvers_responses = 0;

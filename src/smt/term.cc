@@ -7,16 +7,6 @@
 namespace dnsv {
 namespace {
 
-// Structural key for hash-consing. Kind, sort, payload, operand ids.
-std::string NodeKey(const TermNode& node) {
-  std::string key = StrCat(static_cast<int>(node.kind), "|", static_cast<int>(node.sort), "|",
-                           node.int_value, "|", node.var_index, "|");
-  for (Term op : node.operands) {
-    key += StrCat(op.id(), ",");
-  }
-  return key;
-}
-
 // Go semantics: quotient truncated toward zero; remainder sign follows
 // the dividend.
 int64_t GoDiv(int64_t a, int64_t b) { return a / b; }
@@ -24,21 +14,40 @@ int64_t GoMod(int64_t a, int64_t b) { return a % b; }
 
 }  // namespace
 
-TermArena::TermArena() {
+size_t TermArena::NodeHash::operator()(uint32_t id) const {
+  const TermNode& node = (*nodes)[id];
+  uint64_t h = Fnv1a64(std::string_view(reinterpret_cast<const char*>(node.operands.data()),
+                                        node.operands.size() * sizeof(Term)));
+  h = (h ^ (static_cast<uint64_t>(node.kind) << 8 | static_cast<uint64_t>(node.sort))) *
+      0x100000001b3ULL;
+  h = (h ^ static_cast<uint64_t>(node.int_value)) * 0x100000001b3ULL;
+  h = (h ^ node.var_index) * 0x100000001b3ULL;
+  return static_cast<size_t>(h);
+}
+
+bool TermArena::NodeEq::operator()(uint32_t a, uint32_t b) const {
+  const TermNode& x = (*nodes)[a];
+  const TermNode& y = (*nodes)[b];
+  return x.kind == y.kind && x.sort == y.sort && x.int_value == y.int_value &&
+         x.var_index == y.var_index && x.operands == y.operands;
+}
+
+TermArena::TermArena() : intern_table_(64, NodeHash{&nodes_}, NodeEq{&nodes_}) {
   nodes_.resize(1);  // id 0 = invalid sentinel
   true_ = BoolConst(true);
   false_ = BoolConst(false);
 }
 
+// The candidate goes in at the next id and is taken back out when the table
+// already holds a node equal to it.
 Term TermArena::Intern(TermNode node) {
-  std::string key = NodeKey(node);
-  auto it = intern_table_.find(key);
-  if (it != intern_table_.end()) {
-    return Term(it->second);
-  }
   uint32_t id = static_cast<uint32_t>(nodes_.size());
   nodes_.push_back(std::move(node));
-  intern_table_.emplace(std::move(key), id);
+  auto [it, inserted] = intern_table_.insert(id);
+  if (!inserted) {
+    nodes_.pop_back();
+    return Term(*it);
+  }
   return Term(id);
 }
 

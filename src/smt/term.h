@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/support/logging.h"
@@ -130,8 +131,19 @@ class TermArena {
  private:
   Term Intern(TermNode node);
 
+  // Hash and equality of the nodes behind two ids: kind, sort, payload and
+  // operand ids.
+  struct NodeHash {
+    const std::vector<TermNode>* nodes;
+    size_t operator()(uint32_t id) const;
+  };
+  struct NodeEq {
+    const std::vector<TermNode>* nodes;
+    bool operator()(uint32_t a, uint32_t b) const;
+  };
+
   std::vector<TermNode> nodes_;
-  std::unordered_map<std::string, uint32_t> intern_table_;  // structural key -> id
+  std::unordered_set<uint32_t, NodeHash, NodeEq> intern_table_;  // node ids, by structure
   std::unordered_map<std::string, Term> vars_by_name_;
   std::vector<std::string> var_names_;
   std::vector<Sort> var_sorts_;

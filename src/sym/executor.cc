@@ -1,7 +1,5 @@
 #include "src/sym/executor.h"
 
-#include <unordered_map>
-
 #include "src/support/status.h"
 #include "src/support/strings.h"
 
@@ -9,9 +7,24 @@ namespace dnsv {
 
 struct SymExecutor::Frame {
   const Function* fn = nullptr;
-  std::vector<SymValue> args;
-  std::unordered_map<uint32_t, SymValue> regs;
+  // Register r at slot r, parameter p at slot fn->num_instrs() + p. A fork
+  // shares every slot with its sibling until one of them writes it.
+  CowVector<SymValue> regs;
+
+  size_t Slot(uint32_t reg) const {
+    return Function::IsParamReg(reg) ? fn->num_instrs() + Function::ParamIndex(reg) : reg;
+  }
 };
+
+namespace {
+
+std::vector<PathOutcome> OnePath(PathOutcome outcome) {
+  std::vector<PathOutcome> paths;
+  paths.push_back(std::move(outcome));
+  return paths;
+}
+
+}  // namespace
 
 SymExecutor::SymExecutor(const Module* module, TermArena* arena, SolverSession* solver,
                          ExecLimits limits)
@@ -19,14 +32,11 @@ SymExecutor::SymExecutor(const Module* module, TermArena* arena, SolverSession* 
 
 SymValue SymExecutor::EvalOperand(const Frame& frame, const Operand& op) {
   switch (op.kind) {
-    case Operand::Kind::kReg:
-      if (Function::IsParamReg(op.reg)) {
-        return frame.args[Function::ParamIndex(op.reg)];
-      } else {
-        auto it = frame.regs.find(op.reg);
-        DNSV_CHECK_MSG(it != frame.regs.end(), "register read before write");
-        return it->second;
-      }
+    case Operand::Kind::kReg: {
+      const SymValue* value = frame.regs.Find(frame.Slot(op.reg));
+      DNSV_CHECK_MSG(value != nullptr, "register read before write");
+      return *value;
+    }
     case Operand::Kind::kIntConst:
       return SymValue::OfTerm(arena_->IntConst(op.imm));
     case Operand::Kind::kBoolConst:
@@ -106,7 +116,6 @@ SymValue SymExecutor::EvalBinOp(const Instr& instr, const SymValue& a, const Sym
 
 Term SymExecutor::ListEqTerm(const SymValue& a, const SymValue& b) {
   DNSV_CHECK(a.kind == SymValue::Kind::kList && b.kind == SymValue::Kind::kList);
-  DNSV_CHECK_MSG(a.base_token < 0 && b.base_token < 0, "listEq on a based list");
   TermArena& A = *arena_;
   std::vector<Term> conjuncts = {A.Eq(a.list_len, b.list_len)};
   size_t bound = std::max(a.elems.size(), b.elems.size());
@@ -144,7 +153,10 @@ std::vector<PathOutcome> SymExecutor::ExecFunction(const Function& fn,
   DNSV_CHECK(args.size() == fn.params().size());
   Frame frame;
   frame.fn = &fn;
-  frame.args = args;
+  frame.regs.Resize(fn.num_instrs() + args.size());
+  for (size_t i = 0; i < args.size(); ++i) {
+    frame.regs.Set(fn.num_instrs() + i, args[i]);
+  }
   return ExecFrom(fn, std::move(frame), std::move(state), fn.entry(), 0, depth);
 }
 
@@ -189,20 +201,20 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
       };
       switch (instr.op) {
         case Opcode::kBinOp:
-          frame.regs[reg] = EvalBinOp(instr, operand(0), operand(1));
+          frame.regs.Set(reg, EvalBinOp(instr, operand(0), operand(1)));
           break;
         case Opcode::kUnOp: {
           SymValue a = operand(0);
-          frame.regs[reg] = instr.un_op == UnOp::kNot
-                                ? SymValue::OfTerm(arena_->Not(a.term))
-                                : SymValue::OfTerm(arena_->Sub(arena_->IntConst(0), a.term));
+          frame.regs.Set(reg, instr.un_op == UnOp::kNot
+                                  ? SymValue::OfTerm(arena_->Not(a.term))
+                                  : SymValue::OfTerm(arena_->Sub(arena_->IntConst(0), a.term)));
           break;
         }
         case Opcode::kAlloca:
         case Opcode::kNewObject: {
           BlockIndex b = state.memory.Alloc(
               SymZeroValue(module_->types(), instr.alloc_type, arena_));
-          frame.regs[reg] = SymValue::Ptr(b);
+          frame.regs.Set(reg, SymValue::Ptr(b));
           break;
         }
         case Opcode::kLoad: {
@@ -213,9 +225,9 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
             outcome.panic_message = "nil pointer dereference";
             outcome.state = std::move(state);
             ++stats_.paths;
-            return {std::move(outcome)};
+            return OnePath(std::move(outcome));
           }
-          SymValue* target = state.memory.Resolve(ptr.block, ptr.path);
+          const SymValue* target = state.memory.Resolve(ptr.block, ptr.path);
           if (target == nullptr) {
             const SymValue* root = state.memory.Resolve(ptr.block, {});
             DNSV_CHECK_MSG(false,
@@ -223,7 +235,7 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
                                   ptr.ToString(*arena_), " mem=", state.memory.num_blocks(),
                                   " root=", root ? root->ToString(*arena_) : "<none>"));
           }
-          frame.regs[reg] = *target;
+          frame.regs.Set(reg, *target);
           break;
         }
         case Opcode::kStore: {
@@ -234,13 +246,12 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
             outcome.panic_message = "nil pointer dereference";
             outcome.state = std::move(state);
             ++stats_.paths;
-            return {std::move(outcome)};
+            return OnePath(std::move(outcome));
           }
-          SymValue* target = state.memory.Resolve(ptr.block, ptr.path);
-          DNSV_CHECK_MSG(target != nullptr,
+          bool stored = state.memory.Store(ptr.block, ptr.path, operand(1));
+          DNSV_CHECK_MSG(stored,
                          StrCat("symbolic store does not resolve: fn=", fn.name(), " ",
                                 ptr.ToString(*arena_), " mem=", state.memory.num_blocks()));
-          *target = operand(1);
           break;
         }
         case Opcode::kGep: {
@@ -265,7 +276,7 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
               }
             }
           }
-          frame.regs[reg] = std::move(result);
+          frame.regs.Set(reg, std::move(result));
           break;
         }
         case Opcode::kCall: {
@@ -275,7 +286,7 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
             call_args.push_back(operand(k));
           }
           if (instr.text == "listEq") {
-            frame.regs[reg] = SymValue::OfTerm(ListEqTerm(call_args[0], call_args[1]));
+            frame.regs.Set(reg, SymValue::OfTerm(ListEqTerm(call_args[0], call_args[1])));
             break;
           }
           std::vector<PathOutcome> sub_outcomes;
@@ -310,8 +321,8 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
               results.push_back(std::move(sub));
               continue;
             }
-            Frame continued_frame = frame;  // fresh register copy per path
-            continued_frame.regs[reg] = sub.return_value;
+            Frame continued_frame = frame;  // shares registers until written
+            continued_frame.regs.Set(reg, std::move(sub.return_value));
             std::vector<PathOutcome> tails = ExecFrom(
                 fn, std::move(continued_frame), std::move(sub.state), block_id, index + 1,
                 depth);
@@ -322,13 +333,11 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
           return results;
         }
         case Opcode::kListNew:
-          frame.regs[reg] = SymValue::List({}, arena_);
+          frame.regs.Set(reg, SymValue::List({}, arena_));
           break;
-        case Opcode::kListLen: {
-          SymValue list = operand(0);
-          frame.regs[reg] = SymValue::OfTerm(list.list_len);
+        case Opcode::kListLen:
+          frame.regs.Set(reg, SymValue::OfTerm(operand(0).list_len));
           break;
-        }
         case Opcode::kListGet: {
           SymValue list = operand(0);
           std::optional<int64_t> unique = TryUniqueIndex(operand(1).term, state.pc);
@@ -336,13 +345,10 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
             return fork_on_index(operand(1).term);
           }
           int64_t idx = *unique;
-          if (list.base_token >= 0) {
-            throw DnsvError("listget on a summarized (based) list");
-          }
           DNSV_CHECK_MSG(idx >= 0 && static_cast<size_t>(idx) < list.elems.size(),
                          StrCat("list read at ", idx, " beyond capacity ", list.elems.size(),
                                 " (missing bounds check?)"));
-          frame.regs[reg] = list.elems[static_cast<size_t>(idx)];
+          frame.regs.Set(reg, list.elems[static_cast<size_t>(idx)]);
           break;
         }
         case Opcode::kListSet: {
@@ -352,37 +358,34 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
             return fork_on_index(operand(1).term);
           }
           int64_t idx = *unique;
-          if (list.base_token >= 0) {
-            throw DnsvError("listset on a summarized (based) list");
-          }
           DNSV_CHECK(idx >= 0 && static_cast<size_t>(idx) < list.elems.size());
-          list.elems[static_cast<size_t>(idx)] = operand(2);
-          frame.regs[reg] = std::move(list);
+          *list.elems.Mutable(static_cast<size_t>(idx)) = operand(2);
+          frame.regs.Set(reg, std::move(list));
           break;
         }
         case Opcode::kListAppend: {
           SymValue list = operand(0);
           int64_t concrete_len = 0;
           bool len_concrete = arena_->AsIntConst(list.list_len, &concrete_len);
-          if (list.base_token < 0 && !len_concrete) {
+          if (!len_concrete) {
             throw DnsvError(
                 "append to a symbolic-length list (outside the supported effect patterns)");
           }
-          list.elems.push_back(operand(1));
+          list.elems.PushBack(operand(1));
           list.list_len = arena_->Add(list.list_len, arena_->IntConst(1));
-          frame.regs[reg] = std::move(list);
+          frame.regs.Set(reg, std::move(list));
           break;
         }
         case Opcode::kFieldGet: {
           SymValue aggregate = operand(0);
           DNSV_CHECK(aggregate.kind == SymValue::Kind::kStruct);
-          frame.regs[reg] = aggregate.elems[static_cast<size_t>(instr.field_index)];
+          frame.regs.Set(reg, aggregate.elems[static_cast<size_t>(instr.field_index)]);
           break;
         }
         case Opcode::kHavoc: {
           Sort sort = instr.result_type == module_->types().BoolType() ? Sort::kBool : Sort::kInt;
-          frame.regs[reg] =
-              SymValue::OfTerm(arena_->Var(StrCat("havoc.", havoc_counter_++), sort));
+          frame.regs.Set(reg,
+                         SymValue::OfTerm(arena_->Var(StrCat("havoc.", havoc_counter_++), sort)));
           break;
         }
         case Opcode::kBr: {
@@ -450,7 +453,7 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
           }
           outcome.state = std::move(state);
           ++stats_.paths;
-          return {std::move(outcome)};
+          return OnePath(std::move(outcome));
         }
         case Opcode::kPanic: {
           PathOutcome outcome;
@@ -458,7 +461,7 @@ std::vector<PathOutcome> SymExecutor::ExecFrom(const Function& fn, Frame frame, 
           outcome.panic_message = instr.text;
           outcome.state = std::move(state);
           ++stats_.paths;
-          return {std::move(outcome)};
+          return OnePath(std::move(outcome));
         }
       }
     }

@@ -59,8 +59,6 @@ Term SymValueEqTerm(const SymValue& a, const SymValue& b, TermArena* arena) {
       return arena->AndN(conjuncts);
     }
     case SymValue::Kind::kList: {
-      DNSV_CHECK_MSG(a.base_token < 0 && b.base_token < 0,
-                     "equality on summarized (based) lists");
       std::vector<Term> conjuncts = {arena->Eq(a.list_len, b.list_len)};
       size_t bound = std::max(a.elems.size(), b.elems.size());
       for (size_t i = 0; i < bound; ++i) {

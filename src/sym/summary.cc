@@ -225,12 +225,13 @@ const FunctionSummary* Summarizer::Compute(const std::string& callee,
       return nullptr;
     }
     entry.return_value = outcome.return_value;
-    // Stateless check: the shared heap must be untouched (paper §9).
+    // Stateless check: the shared heap must be untouched (paper §9). A block
+    // no store reached is still the base heap's node.
     for (BlockIndex b = 1; b < heap_floor_; ++b) {
       const SymValue* before = base_heap_.Resolve(b, {});
       const SymValue* after = outcome.state.memory.Resolve(b, {});
       DNSV_CHECK(before != nullptr && after != nullptr);
-      if (before->ToString(*arena_) != after->ToString(*arena_)) {
+      if (!before->SameAs(*after) && before->ToString(*arena_) != after->ToString(*arena_)) {
         DNSV_LOG(kWarning) << "summarization of " << callee
                            << " aborted: writes to the shared heap (not stateless)";
         return nullptr;
@@ -253,11 +254,10 @@ const FunctionSummary* Summarizer::Compute(const std::string& callee,
         const SymValue& after = final_value->elems[f];
         // Unchanged iff structurally identical (scalar vars, empty lists,
         // null pointer assumptions).
-        if (before.ToString(*arena_) == after.ToString(*arena_)) {
+        if (before.SameAs(after) || before.ToString(*arena_) == after.ToString(*arena_)) {
           continue;
         }
-        if (ContainsEscapingPtr(after, escape_floor) ||
-            (after.kind == SymValue::Kind::kList && after.base_token >= 0)) {
+        if (ContainsEscapingPtr(after, escape_floor)) {
           ok = false;
           break;
         }
@@ -296,18 +296,23 @@ SymValue Summarizer::SubstituteValue(const SymValue& value,
       out.term = arena_->Substitute(value.term, subst);
       return out;
     }
-    case SymValue::Kind::kStruct: {
-      SymValue out = value;
-      for (SymValue& field : out.elems) {
-        field = SubstituteValue(field, subst);
-      }
-      return out;
-    }
+    case SymValue::Kind::kStruct:
     case SymValue::Kind::kList: {
       SymValue out = value;
-      out.list_len = arena_->Substitute(value.list_len, subst);
-      for (SymValue& element : out.elems) {
-        element = SubstituteValue(element, subst);
+      if (value.kind == SymValue::Kind::kList) {
+        out.list_len = arena_->Substitute(value.list_len, subst);
+      }
+      // Rebuild the node only when a leaf changed; otherwise the result
+      // shares the summary's node.
+      std::vector<SymValue> elems;
+      elems.reserve(value.elems.size());
+      bool changed = false;
+      for (const SymValue& elem : value.elems) {
+        elems.push_back(SubstituteValue(elem, subst));
+        changed = changed || !elems.back().SameAs(elem);
+      }
+      if (changed) {
+        out.elems = SymElems(std::move(elems));
       }
       return out;
     }
@@ -354,7 +359,7 @@ std::optional<std::vector<SummaryProvider::Application>> Summarizer::TryApply(
         subst[placeholder.term.id()] = actual.term;
         break;
       case ParamMode::kSymbolicIntList: {
-        if (actual.kind != SymValue::Kind::kList || actual.base_token >= 0) {
+        if (actual.kind != SymValue::Kind::kList) {
           return std::nullopt;
         }
         subst[placeholder.list_len.id()] = actual.list_len;
@@ -465,9 +470,15 @@ std::optional<std::vector<SummaryProvider::Application>> Summarizer::TryApply(
     for (const SummaryEntry::FieldWrite& write : entry.writes) {
       const SymValue* target_ptr = find_target(write.param);
       DNSV_CHECK(target_ptr != nullptr);
-      SymValue* slot = app.state.memory.Resolve(target_ptr->block, target_ptr->path);
+      const SymValue* slot = app.state.memory.Resolve(target_ptr->block, target_ptr->path);
       DNSV_CHECK(slot != nullptr && slot->kind == SymValue::Kind::kStruct);
-      slot->elems[write.field] = SubstituteValue(write.value, subst);
+      // A store into this path's own copy of the memory: the caller's state
+      // and the other entries' applications keep the shared block.
+      SymPath field_path = target_ptr->path;
+      field_path.push_back(static_cast<int64_t>(write.field));
+      bool stored = app.state.memory.Store(target_ptr->block, field_path,
+                                           SubstituteValue(write.value, subst));
+      DNSV_CHECK(stored);
     }
     applications.push_back(std::move(app));
   }

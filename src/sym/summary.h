@@ -15,8 +15,8 @@
 // Effects follow the paper's supported patterns exactly: writes to struct
 // fields reachable from out-parameters, appends to list fields, and the
 // return value. Anything else (fresh objects escaping, writes to the shared
-// heap, reads of based lists) aborts summarization and the verifier falls
-// back to inlining that module.
+// heap) aborts summarization and the verifier falls back to inlining that
+// module.
 #ifndef DNSV_SYM_SUMMARY_H_
 #define DNSV_SYM_SUMMARY_H_
 

@@ -1,5 +1,8 @@
 #include "src/sym/symvalue.h"
 
+#include <algorithm>
+
+#include "src/support/status.h"
 #include "src/support/strings.h"
 
 namespace dnsv {
@@ -29,9 +32,9 @@ std::string SymValue::ToString(const TermArena& arena) const {
       return out + "}";
     }
     case Kind::kList: {
-      std::string out = base_token >= 0 ? StrCat("[base#", base_token, " ++") : "[";
+      std::string out = "[";
       for (size_t i = 0; i < elems.size(); ++i) {
-        out += (i == 0 && base_token < 0) ? "" : " ";
+        out += i == 0 ? "" : " ";
         out += elems[i].ToString(arena);
       }
       out += StrCat("; len=", arena.ToString(list_len), "]");
@@ -41,21 +44,62 @@ std::string SymValue::ToString(const TermArena& arena) const {
   return "<?>";
 }
 
-SymValue* SymMemory::Resolve(BlockIndex block, const std::vector<int64_t>& path) {
-  if (block == kNullBlockIndex || block >= blocks_.size()) {
+SymPath::SymPath(std::initializer_list<int64_t> indices) {
+  for (int64_t index : indices) push_back(index);
+}
+
+SymPath::SymPath(const std::vector<int64_t>& indices) {
+  for (int64_t index : indices) push_back(index);
+}
+
+void SymPath::push_back(int64_t index) {
+  if (size_ == kMaxDepth) {
+    throw DnsvError(StrCat("pointer path deeper than ", kMaxDepth, " indices"));
+  }
+  indices_[size_++] = index;
+}
+
+bool SymPath::operator==(const SymPath& other) const {
+  return size_ == other.size_ && std::equal(begin(), end(), other.begin());
+}
+
+namespace {
+
+// True when `value` is an aggregate with an element at `index`.
+bool InRange(const SymValue& value, int64_t index) {
+  return (value.kind == SymValue::Kind::kStruct || value.kind == SymValue::Kind::kList) &&
+         index >= 0 && static_cast<size_t>(index) < value.elems.size();
+}
+
+}  // namespace
+
+const SymValue* SymMemory::Resolve(BlockIndex block, const SymPath& path) const {
+  if (block == kNullBlockIndex) {
     return nullptr;
   }
-  SymValue* current = &blocks_[block];
+  const SymValue* current = blocks_.Find(block - 1);
+  if (current == nullptr) {
+    return nullptr;
+  }
   for (int64_t index : path) {
-    if (current->kind != SymValue::Kind::kStruct && current->kind != SymValue::Kind::kList) {
-      return nullptr;
-    }
-    if (index < 0 || static_cast<size_t>(index) >= current->elems.size()) {
+    if (!InRange(*current, index)) {
       return nullptr;
     }
     current = &current->elems[static_cast<size_t>(index)];
   }
   return current;
+}
+
+bool SymMemory::Store(BlockIndex block, const SymPath& path, SymValue value) {
+  if (Resolve(block, path) == nullptr) {
+    return false;
+  }
+  SymValue* current = blocks_.Mutable(block - 1);
+  for (int64_t index : path) {
+    current = current->elems.Mutable(static_cast<size_t>(index));
+  }
+  *current = std::move(value);
+  return true;
 }
 
 SymValue LiftValue(const Value& value, TermArena* arena) {
@@ -67,7 +111,7 @@ SymValue LiftValue(const Value& value, TermArena* arena) {
     case Value::Kind::kBool:
       return SymValue::OfTerm(arena->BoolConst(value.i != 0));
     case Value::Kind::kPtr:
-      return SymValue::Ptr(value.block, value.path);
+      return SymValue::Ptr(value.block, SymPath(value.path));
     case Value::Kind::kStruct: {
       std::vector<SymValue> fields;
       fields.reserve(value.elems.size());
@@ -160,7 +204,7 @@ Value ConcretizeValue(const SymValue& value, const TermArena& arena, const Model
       return arena.sort(value.term) == Sort::kBool ? Value::Bool(v != 0) : Value::Int(v);
     }
     case SymValue::Kind::kPtr:
-      return Value::Ptr(value.block, value.path);
+      return Value::Ptr(value.block, std::vector<int64_t>(value.path.begin(), value.path.end()));
     case SymValue::Kind::kStruct: {
       std::vector<Value> fields;
       fields.reserve(value.elems.size());
@@ -170,7 +214,6 @@ Value ConcretizeValue(const SymValue& value, const TermArena& arena, const Model
       return Value::Struct(std::move(fields));
     }
     case SymValue::Kind::kList: {
-      DNSV_CHECK_MSG(value.base_token < 0, "cannot concretize a based list");
       int64_t len = TermToConcrete(value.list_len, arena, model);
       std::vector<Value> elements;
       for (int64_t i = 0; i < len && i < static_cast<int64_t>(value.elems.size()); ++i) {
@@ -183,17 +226,32 @@ Value ConcretizeValue(const SymValue& value, const TermArena& arena, const Model
   return Value::Unit();
 }
 
-SymValue ImportSymValue(const SymValue& value, TermImporter* importer) {
+SymValue SymValueImporter::Import(const SymValue& value) {
   SymValue out = value;
   if (out.term.valid()) {
-    out.term = importer->Import(value.term);
+    out.term = terms_->Import(value.term);
   }
   if (out.list_len.valid()) {
-    out.list_len = importer->Import(value.list_len);
+    out.list_len = terms_->Import(value.list_len);
   }
-  for (size_t i = 0; i < out.elems.size(); ++i) {
-    out.elems[i] = ImportSymValue(value.elems[i], importer);
+  if (value.elems.empty()) {
+    return out;
   }
+  auto [it, inserted] = memo_.try_emplace(value.elems.id());
+  if (inserted) {
+    std::vector<SymValue> elems;
+    elems.reserve(value.elems.size());
+    for (const SymValue& elem : value.elems) {
+      elems.push_back(Import(elem));
+    }
+    // The recursive imports may have rehashed memo_: look the slot up again.
+    std::pair<SymElems, SymElems>& slot = memo_[value.elems.id()];
+    slot.first = value.elems;
+    slot.second = SymElems(std::move(elems));
+    out.elems = slot.second;
+    return out;
+  }
+  out.elems = it->second.second;
   return out;
 }
 

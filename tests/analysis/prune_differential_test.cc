@@ -35,18 +35,18 @@ class ModuleHarness {
  public:
   ModuleHarness(std::unique_ptr<CompiledEngine> engine, const ZoneConfig& canonical_zone)
       : engine_(std::move(engine)) {
-    image_ = BuildHeapImage(canonical_zone, &interner_, engine_->types(), &memory_);
+    image_ = BuildHeapImage(canonical_zone, &interner_, engine_->types(), &memory_).value();
   }
 
   QueryResult Resolve(const DnsName& qname, RrType qtype) {
     return Run(engine_->resolve_fn(),
-               {image_.apex_ptr, image_.origin_labels, QnameValue(qname, &interner_),
+               {image_.apex_ptr, image_.origin_labels, QnameValue(qname, &interner_).value(),
                 Value::Int(static_cast<int64_t>(qtype))});
   }
 
   QueryResult Spec(const DnsName& qname, RrType qtype) {
     return Run(engine_->rrlookup_fn(),
-               {image_.zone_rrs, image_.origin_labels, QnameValue(qname, &interner_),
+               {image_.zone_rrs, image_.origin_labels, QnameValue(qname, &interner_).value(),
                 Value::Int(static_cast<int64_t>(qtype))});
   }
 

@@ -14,7 +14,7 @@ class HeapTest : public ::testing::Test {
 
   HeapImage Build(const ZoneConfig& zone) {
     canonical_ = CanonicalizeZone(zone).value();
-    return BuildHeapImage(canonical_, &interner_, engine_->types(), &memory_);
+    return BuildHeapImage(canonical_, &interner_, engine_->types(), &memory_).value();
   }
 
   // Follows the down/left/right pointers to find a child with `label`.
@@ -24,7 +24,7 @@ class HeapTest : public ::testing::Test {
       return nullptr;
     }
     StructLayout layout(engine_->types(), kStructTreeNode);
-    int64_t code = interner_.Intern(label);
+    int64_t code = interner_.Intern(label).value();
     const Value* cur_ptr = &node->elems[layout.index("down")];
     while (!cur_ptr->IsNullPtr()) {
       const Value* cur = memory_.Resolve(cur_ptr->block, cur_ptr->path);
@@ -81,7 +81,7 @@ TEST_F(HeapTest, TreeShapeMatchesFigure11) {
     // cs has exactly two children (web, zoo) in a BST.
     const Value* root = memory_.Resolve(down_ptr->block, down_ptr->path);
     ASSERT_NE(root, nullptr);
-    int64_t web_code = interner_.Intern("web");
+    int64_t web_code = interner_.Intern("web").value();
     if (root->elems[layout.index("label")].i == web_code) {
       web = root;
     } else {

@@ -47,40 +47,40 @@ TEST(DnsName, ReversedLabels) {
 
 TEST(LabelInterner, OrderPreservingForUpfrontLabels) {
   LabelInterner interner;
-  int64_t a = interner.Intern("aaa");
-  int64_t b = interner.Intern("bbb");
-  int64_t c = interner.Intern("ccc");
+  int64_t a = interner.Intern("aaa").value();
+  int64_t b = interner.Intern("bbb").value();
+  int64_t c = interner.Intern("ccc").value();
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
 }
 
 TEST(LabelInterner, OrderPreservingUnderLateInsertion) {
   LabelInterner interner;
-  int64_t a = interner.Intern("aaa");
-  int64_t c = interner.Intern("ccc");
-  int64_t b = interner.Intern("bbb");  // inserted between existing neighbors
+  int64_t a = interner.Intern("aaa").value();
+  int64_t c = interner.Intern("ccc").value();
+  int64_t b = interner.Intern("bbb").value();  // inserted between existing neighbors
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
 }
 
 TEST(LabelInterner, StableAndCaseInsensitive) {
   LabelInterner interner;
-  EXPECT_EQ(interner.Intern("WWW"), interner.Intern("www"));
+  EXPECT_EQ(interner.Intern("WWW").value(), interner.Intern("www").value());
 }
 
 TEST(LabelInterner, WildcardHasFixedSmallestCode) {
   LabelInterner interner;
-  int64_t star = interner.Intern("*");
+  int64_t star = interner.Intern("*").value();
   EXPECT_EQ(star, 2);
   // '*' must stay below every other label.
-  EXPECT_LT(star, interner.Intern("0"));
-  EXPECT_LT(star, interner.Intern("a"));
-  EXPECT_LT(star, interner.Intern("-dash"));
+  EXPECT_LT(star, interner.Intern("0").value());
+  EXPECT_LT(star, interner.Intern("a").value());
+  EXPECT_LT(star, interner.Intern("-dash").value());
 }
 
 TEST(LabelInterner, DecodeRoundTrip) {
   LabelInterner interner;
-  int64_t code = interner.Intern("example");
+  int64_t code = interner.Intern("example").value();
   EXPECT_EQ(interner.Decode(code), "example");
   EXPECT_EQ(interner.Decode(code + 1), StrCat("<label#", code + 1, ">"));
 }
@@ -108,11 +108,11 @@ TEST_P(InternerOrderTest, PairwiseOrderMatchesLexicographic) {
   }
   LabelInterner interner;
   for (const std::string& label : labels) {
-    interner.Intern(label);
+    ASSERT_TRUE(interner.Intern(label).ok());
   }
   for (const std::string& x : labels) {
     for (const std::string& y : labels) {
-      EXPECT_EQ(x < y, interner.Intern(x) < interner.Intern(y))
+      EXPECT_EQ(x < y, interner.Intern(x).value() < interner.Intern(y).value())
           << x << " vs " << y;
     }
   }
@@ -123,8 +123,8 @@ INSTANTIATE_TEST_SUITE_P(Shuffles, InternerOrderTest, ::testing::Range(0, 8));
 
 TEST(LabelInterner, DecodeApproxExactAndSynthesized) {
   LabelInterner interner;
-  int64_t cs = interner.Intern("cs");
-  int64_t www = interner.Intern("www");
+  int64_t cs = interner.Intern("cs").value();
+  int64_t www = interner.Intern("www").value();
   EXPECT_EQ(interner.DecodeApprox(cs), "cs");
   // A code strictly between cs and www synthesizes a label just after "cs".
   int64_t mid = (cs + www) / 2;
@@ -139,7 +139,7 @@ TEST(LabelInterner, DecodeApproxExactAndSynthesized) {
 
 TEST(LabelInterner, DecodeApproxAboveAll) {
   LabelInterner interner;
-  int64_t zz = interner.Intern("zz");
+  int64_t zz = interner.Intern("zz").value();
   std::string above = interner.DecodeApprox(zz + 1000);
   EXPECT_GT(above, std::string("zz"));
 }

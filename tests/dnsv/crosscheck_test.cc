@@ -187,18 +187,21 @@ TEST(DomainTreeRefinement, CorruptedBstIsRejected) {
   bool corrupted = false;
   SymValue corrupt_root;
   for (int b = 1; b <= server->heap_image().num_tree_nodes && !corrupted; ++b) {
-    SymValue* node = base_memory.Resolve(static_cast<BlockIndex>(b), {});
-    const SymValue& down = node->elems[node_layout.index("down")];
+    const SymValue* node = base_memory.Resolve(static_cast<BlockIndex>(b), {});
+    SymValue down = node->elems[node_layout.index("down")];
     if (down.IsNullPtr()) {
       continue;
     }
-    SymValue* root = base_memory.Resolve(down.block, down.path);
+    const SymValue* root = base_memory.Resolve(down.block, down.path);
     const SymValue& left = root->elems[node_layout.index("left")];
     if (left.IsNullPtr()) {
       continue;
     }
     // Order violation: the root's label becomes smaller than everything.
-    root->elems[node_layout.index("label")] = SymValue::OfTerm(arena.IntConst(1));
+    SymPath label_path = down.path;
+    label_path.push_back(node_layout.index("label"));
+    ASSERT_TRUE(
+        base_memory.Store(down.block, label_path, SymValue::OfTerm(arena.IntConst(1))));
     corrupt_root = down;
     corrupted = true;
   }

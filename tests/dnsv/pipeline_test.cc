@@ -240,6 +240,31 @@ TEST(PipelineSpecCache, ConcurrentRunsShareOneEntry) {
                                               &fresh_golden, EngineVersion::kGolden, ZoneA())));
 }
 
+// A spec-cache fill whose spec side explores on its own thread, then two
+// runs on two threads that both hit the entry and import its shared nodes at
+// once (reference counts are atomic; no cached node is ever written). The
+// TSan pass of ci/check.sh runs this test.
+TEST(PipelineSpecCache, ParallelFillThenConcurrentHits) {
+  VerifyContext context;
+  VerificationReport fill = RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneA());
+  ASSERT_FALSE(fill.aborted) << fill.abort_reason;
+  EXPECT_TRUE(fill.explored_in_parallel);
+  VerificationReport v3;
+  VerificationReport golden;
+  std::thread other([&] { v3 = RunVerifyPipeline(&context, EngineVersion::kV3, ZoneA()); });
+  golden = RunVerifyPipeline(&context, EngineVersion::kGolden, ZoneA());
+  other.join();
+  VerifyContext::CacheStats stats = context.cache_stats();
+  EXPECT_EQ(stats.spec_explorations, 1);
+  EXPECT_EQ(stats.spec_cache_hits, 2);
+  EXPECT_TRUE(v3.FindStage("explore.spec")->from_cache);
+  EXPECT_TRUE(golden.FindStage("explore.spec")->from_cache);
+  EXPECT_EQ(NormalizedReportText(golden), NormalizedReportText(fill));
+  VerifyContext fresh;
+  EXPECT_EQ(NormalizedReportText(v3),
+            NormalizedReportText(RunVerifyPipeline(&fresh, EngineVersion::kV3, ZoneA())));
+}
+
 // The acceptance criterion on determinism: with isolated per-worker arenas
 // and a post-join fixed-order merge, parallel exploration must yield a
 // byte-identical issue list to serial exploration. Each run gets its own
@@ -375,6 +400,21 @@ TEST(PipelineAbort, InvalidZoneAbortsInLiftStage) {
   // Failed lifts must not be cached: the compile stage ran, the lift did not
   // populate the zone cache.
   EXPECT_EQ(context.cache_stats().zone_cache_hits, 0);
+}
+
+// Sibling owners h00000..h00057 exhaust the label codes of the lift's
+// interner: the run reports an abort instead of killing the process.
+TEST(PipelineAbort, ZoneThatExhaustsLabelCodesAbortsInLiftStage) {
+  std::string text = "$ORIGIN ex.test.\n@ SOA ns 1\n@ NS ns.ex.test.\n";
+  for (int i = 0; i <= 57; ++i) {
+    text += StrCat("h", std::string(4 - std::to_string(i).size(), '0'), i, " A 192.0.2.1\n");
+  }
+  VerifyContext context;
+  VerificationReport report =
+      RunVerifyPipeline(&context, EngineVersion::kGolden, ParseZoneText(text).value());
+  EXPECT_TRUE(report.aborted);
+  EXPECT_NE(report.abort_reason.find("label code space exhausted"), std::string::npos)
+      << report.abort_reason;
 }
 
 }  // namespace

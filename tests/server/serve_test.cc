@@ -4,6 +4,8 @@
 // bytes, and the unchecked atoi port parsing.
 #include "src/server/serve.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,6 +16,7 @@
 
 #include "src/dns/example_zones.h"
 #include "src/fuzz/packet_gen.h"
+#include "src/support/strings.h"
 
 namespace dnsv {
 namespace {
@@ -369,6 +372,78 @@ TEST(ServePacketTest, UdpClampTruncatesAndTcpLimitServesInFull) {
   Result<ResponseView> view = ParseWireResponse(tcp.wire, &echoed);
   ASSERT_TRUE(view.ok()) << view.error();
   EXPECT_EQ(view.value().answer.size(), 40u);
+}
+
+// Sibling owners h00000..h00057 are interned in ascending order, so each one
+// lands in the upper half of the last gap: the 2^60 code space runs out
+// before the last of them.
+ZoneConfig ExhaustingZone() {
+  std::string text = "$ORIGIN example.com.\n@ SOA ns1 1\n@ NS ns1.example.com.\n";
+  for (int i = 0; i <= 57; ++i) {
+    char owner[8];
+    std::snprintf(owner, sizeof(owner), "h%05d", i);
+    text += std::string(owner) + " A 10.0.0.1\n";
+  }
+  Result<ZoneConfig> zone = ParseZoneText(text);
+  EXPECT_TRUE(zone.ok()) << zone.error();
+  return std::move(zone).value();
+}
+
+// Regression: query labels z, zz, zzz, ... each intern above the last one.
+// The 56-z label found no code left and used to abort the process; it must
+// now be answered SERVFAIL, counted, and the shard must keep serving (with
+// every label interned before it keeping its code).
+TEST(ServePacketTest, ExhaustedLabelCodesAnswerServfailAndKeepServing) {
+  auto shard = MakeShard();
+  ServerStats stats;
+  size_t first_failure = 0;
+  uint64_t servfails = 0;
+  std::vector<int64_t> codes;
+  for (size_t n = 1; n <= 63; ++n) {
+    std::string label(n, 'z');
+    std::vector<uint8_t> packet = QueryPacket(label + ".example.com", RrType::kA);
+    ServeOutcome outcome =
+        ServePacket(shard.get(), packet.data(), packet.size(), kMaxUdpPayload, &stats);
+    Result<ResponseView> view = ParseWireResponse(outcome.wire, nullptr);
+    ASSERT_TRUE(view.ok()) << view.error();
+    if (view.value().rcode == Rcode::kServFail) {
+      ++servfails;
+      first_failure = first_failure == 0 ? n : first_failure;
+    } else {
+      EXPECT_EQ(first_failure, 0u) << "answered " << n << " z's after a failure";
+      EXPECT_EQ(view.value().rcode, Rcode::kNxDomain) << n << " z's";
+      codes.push_back(shard->interner().Intern(label).value());
+    }
+  }
+  EXPECT_EQ(first_failure, 56u);
+  EXPECT_EQ(stats.unencodable_qnames.load(), servfails);
+  EXPECT_EQ(stats.engine_panics.load(), 0u);
+  // The interned labels kept their order-preserving codes.
+  EXPECT_TRUE(std::is_sorted(codes.begin(), codes.end()));
+  EXPECT_EQ(std::adjacent_find(codes.begin(), codes.end()), codes.end());
+  StatsSnapshot snapshot;
+  snapshot.Add(stats);
+  EXPECT_NE(snapshot.ToJson().find(StrCat("\"unencodable_qnames\": ", servfails)),
+            std::string::npos)
+      << snapshot.ToJson();
+
+  std::vector<uint8_t> packet = QueryPacket("chain.example.com", RrType::kA);
+  ServeOutcome outcome =
+      ServePacket(shard.get(), packet.data(), packet.size(), kMaxUdpPayload, &stats);
+  Result<ResponseView> view = ParseWireResponse(outcome.wire, nullptr);
+  ASSERT_TRUE(view.ok()) << view.error();
+  EXPECT_EQ(view.value().rcode, Rcode::kNoError);
+  EXPECT_EQ(view.value().answer.size(), 4u);
+}
+
+// Regression: a zone whose owner labels exhaust the code space used to abort
+// inside AuthoritativeServer::Create; it is now rejected with an error.
+TEST(ServePacketTest, ZoneThatExhaustsLabelCodesIsRejected) {
+  Result<std::unique_ptr<AuthoritativeServer>> shard =
+      AuthoritativeServer::Create(EngineVersion::kGolden, ExhaustingZone());
+  ASSERT_FALSE(shard.ok());
+  EXPECT_NE(shard.error().find("label code space exhausted"), std::string::npos)
+      << shard.error();
 }
 
 }  // namespace

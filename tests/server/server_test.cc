@@ -17,6 +17,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -430,6 +431,34 @@ TEST(DnsServerTest, HotReloadSwapsZonesWithoutDroppingQueries) {
   ASSERT_TRUE(view.ok());
   ASSERT_EQ(view.value().answer.size(), 1u);
   EXPECT_EQ(view.value().answer[0].rdata_value, kNewIp);
+}
+
+// Regression: a reload whose owner labels exhaust the interner's code space
+// (siblings h00000..h00057, interned in ascending order) used to abort the
+// running server; it is now rejected and the old zone keeps serving.
+TEST(DnsServerTest, ReloadRejectsAZoneThatExhaustsLabelCodes) {
+  ServerConfig config;
+  START_OR_SKIP(server, config, SmallZone("10.0.0.1"));
+  std::string text = SmallZoneText("10.0.0.1");
+  for (int i = 0; i <= 57; ++i) {
+    char owner[24];
+    std::snprintf(owner, sizeof(owner), "h%05d.example.com.", i);
+    text += std::string(owner) + " A 10.0.0.9\n";
+  }
+  Result<ZoneConfig> zone = ParseZoneText(text);
+  ASSERT_TRUE(zone.ok()) << zone.error();
+  Status reloaded = server->Reload(zone.value());
+  EXPECT_FALSE(reloaded.ok());
+  EXPECT_NE(reloaded.message().find("label code space exhausted"), std::string::npos)
+      << reloaded.message();
+  EXPECT_EQ(server->generation(), 1u);
+  std::vector<uint8_t> reply =
+      UdpExchange(server->udp_port(), QueryPacket("www.example.com", RrType::kA, 0x3333));
+  ASSERT_FALSE(reply.empty());
+  Result<ResponseView> view = ParseWireResponse(reply, nullptr);
+  ASSERT_TRUE(view.ok());
+  ASSERT_EQ(view.value().answer.size(), 1u);
+  EXPECT_EQ(view.value().answer[0].rdata_value, 0x0A000001);
 }
 
 TEST(DnsServerTest, SighupReloadsTheZoneFile) {

@@ -1,10 +1,13 @@
 // Symbolic executor tests: MiniGo source -> AbsIR -> full-path exploration.
 #include "src/sym/executor.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/frontend/frontend.h"
 #include "src/sym/refine.h"
+#include "src/sym/summary.h"
 
 namespace dnsv {
 namespace {
@@ -279,6 +282,139 @@ func f(x int) int {
   Term covered = arena_->OrN(pcs);
   Term uncovered = arena_->And(x.constraints, arena_->Not(covered));
   EXPECT_EQ(solver_->CheckAssuming(uncovered), SatResult::kUnsat);
+}
+
+// ---- Persistent state: forked paths share memory until they write it ----
+
+// Reads an int field of `block` in `outcome`'s final memory.
+int64_t FieldAt(const TermArena& arena, const PathOutcome& outcome, BlockIndex block,
+                const SymPath& path) {
+  const SymValue* value = outcome.state.memory.Resolve(block, path);
+  int64_t v = -1;
+  EXPECT_TRUE(value != nullptr && arena.AsIntConst(value->term, &v));
+  return v;
+}
+
+TEST_F(SymExecTest, StoresAfterAForkStayOnTheirOwnPath) {
+  Compile(R"(
+type R struct {
+  code int
+  other int
+}
+func f(r *R, x int) {
+  if x > 0 {
+    r.code = 1
+  } else {
+    r.code = 2
+  }
+}
+)");
+  SymState state;
+  state.pc = arena_->True();
+  BlockIndex b = state.memory.Alloc(
+      SymValue::Struct({SymValue::OfTerm(arena_->IntConst(0)),
+                        SymValue::OfTerm(arena_->IntConst(5))}));
+  const SymMemory parent = state.memory;
+  SymValue x = SymValue::OfTerm(arena_->Var("x", Sort::kInt));
+  auto outcomes = executor_->Explore(*module_->GetFunction("f"), {SymValue::Ptr(b), x}, state);
+  ASSERT_EQ(outcomes.size(), 2u);
+  std::vector<int64_t> codes = {FieldAt(*arena_, outcomes[0], b, {0}),
+                                FieldAt(*arena_, outcomes[1], b, {0})};
+  std::sort(codes.begin(), codes.end());
+  EXPECT_EQ(codes, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(FieldAt(*arena_, outcomes[0], b, {1}), 5);
+  // Neither the caller's state nor the memory it started from changed.
+  int64_t v = -1;
+  ASSERT_TRUE(arena_->AsIntConst(state.memory.Resolve(b, {0})->term, &v));
+  EXPECT_EQ(v, 0);
+  ASSERT_TRUE(arena_->AsIntConst(parent.Resolve(b, {0})->term, &v));
+  EXPECT_EQ(v, 0);
+}
+
+TEST_F(SymExecTest, AllocOnOneBranchDoesNotShiftTheOtherBranchsBlocks) {
+  Compile(R"(
+type T struct { v int }
+func g(x int) *T {
+  if x > 0 {
+    a := new(T)
+    a.v = 5
+  }
+  p := new(T)
+  p.v = 1
+  return p
+}
+)");
+  auto outcomes = Explore("g", {SymValue::OfTerm(arena_->Var("x", Sort::kInt))});
+  ASSERT_EQ(outcomes.size(), 2u);
+  const PathOutcome* with_extra = &outcomes[0];
+  const PathOutcome* without = &outcomes[1];
+  if (with_extra->state.memory.num_blocks() < without->state.memory.num_blocks()) {
+    std::swap(with_extra, without);
+  }
+  ASSERT_EQ(with_extra->kind, PathOutcome::Kind::kReturned);
+  ASSERT_EQ(without->kind, PathOutcome::Kind::kReturned);
+  size_t extra = with_extra->state.memory.num_blocks() - without->state.memory.num_blocks();
+  ASSERT_GT(extra, 0u);
+  BlockIndex p_with = with_extra->return_value.block;
+  BlockIndex p_without = without->return_value.block;
+  // The branch that allocated `a` hands `p` the ids after it; the other
+  // branch's `p` takes the first id that branch's allocations took.
+  EXPECT_EQ(p_with, p_without + extra);
+  EXPECT_EQ(without->state.memory.Resolve(p_with, {}), nullptr);
+  EXPECT_EQ(FieldAt(*arena_, *without, p_without, {0}), 1);
+  EXPECT_EQ(FieldAt(*arena_, *with_extra, p_with, {0}), 1);
+}
+
+TEST_F(SymExecTest, SummaryWriteBackToASharedBlockStaysOnItsPath) {
+  Compile(R"(
+type Out struct {
+  code int
+  flag bool
+}
+func classify(x int, out *Out) {
+  if x < 0 {
+    out.code = 0
+    return
+  }
+  if x < 10 {
+    out.code = 1
+    out.flag = true
+    return
+  }
+  out.code = 2
+}
+func driver(x int, out *Out) {
+  classify(x, out)
+}
+)");
+  Summarizer summarizer(module_.get(), arena_.get(), solver_.get(), SymMemory(), 3, 1000);
+  summarizer.Configure({"classify", {ParamMode::kSymbolicInt, ParamMode::kOutStruct}});
+  executor_->set_summary_provider(&summarizer);
+  SymState state;
+  state.pc = arena_->True();
+  BlockIndex out = state.memory.Alloc(
+      SymValue::Struct({SymValue::OfTerm(arena_->IntConst(7)),
+                        SymValue::OfTerm(arena_->BoolConst(false))}));
+  auto outcomes = executor_->Explore(*module_->GetFunction("driver"),
+                                     {SymValue::OfTerm(arena_->Var("x", Sort::kInt)),
+                                      SymValue::Ptr(out)},
+                                     state);
+  EXPECT_EQ(summarizer.stats().applications, 1);
+  ASSERT_EQ(outcomes.size(), 3u);
+  std::vector<int64_t> codes;
+  int flags = 0;
+  for (const PathOutcome& o : outcomes) {
+    codes.push_back(FieldAt(*arena_, o, out, {0}));
+    bool flag = false;
+    ASSERT_TRUE(arena_->AsBoolConst(o.state.memory.Resolve(out, {1})->term, &flag));
+    flags += flag ? 1 : 0;
+  }
+  std::sort(codes.begin(), codes.end());
+  EXPECT_EQ(codes, (std::vector<int64_t>{0, 1, 2}));
+  EXPECT_EQ(flags, 1);
+  int64_t code = -1;
+  ASSERT_TRUE(arena_->AsIntConst(state.memory.Resolve(out, {0})->term, &code));
+  EXPECT_EQ(code, 7);
 }
 
 }  // namespace
