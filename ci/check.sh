@@ -38,8 +38,9 @@ run_pass() {
   "$build_dir"/tools/dnsv-fuzz --smoke
   # Incremental-verification gate (docs/INCREMENTAL.md): cold-verify into a
   # fresh store, then re-verify warm. The harness exits non-zero unless every
-  # warm run replays byte-identically with zero new Z3 checks and >=95% layer
-  # reuse, and the edited-version scenario recomputes only the dirty cone.
+  # warm run replays byte-identically with zero new Z3 checks, the shadow run
+  # cross-checks the stored report, and the edited-version scenario serves
+  # its spec exploration from the context.
   # Inside run_pass the whole store stack — container parsing, tamper
   # rejection, report codec — also executes under ASan/UBSan in pass 2 (the
   # tests/store/ suite, tamper tests included, runs in the ctest line above).
@@ -62,9 +63,9 @@ build/bench/prune_ablation
 build/bench/solver_ablation
 
 # Store-binding gate: the DNSV_STORE_DIR environment path, twice against a
-# fresh store. The second run must be served from the store (replayed) with
-# every layer reused — the operator-visible form of the incremental_verify
-# assertions above.
+# fresh store. The second run must be served from the store (replayed), which
+# counts every layer as reused — the operator-visible form of the
+# incremental_verify assertions above.
 store_dir=$(mktemp -d)
 DNSV_STORE_DIR="$store_dir" build/examples/verify_zone golden > /dev/null
 warm_out=$(DNSV_STORE_DIR="$store_dir" build/examples/verify_zone golden)

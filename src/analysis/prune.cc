@@ -253,27 +253,16 @@ PruneStats PruneModule(Module* module, const PruneOptions& options, AnalysisStat
   // Whole-module facts first. Summaries and points-to are computed on the
   // module as lifted; SCCP runs per function inside PruneFunction, after
   // which the context's instruction-indexed side table is renumbered along
-  // with the function. A precomputed context (artifact-store replay) skips
-  // the whole-module passes entirely; both paths feed the loop the same
-  // facts, so the rewritten module is byte-identical either way — the store
-  // cross-checks that with the persisted post-prune fingerprint.
-  InterprocContext ctx;
-  if (options.precomputed != nullptr) {
-    ctx = *options.precomputed;
-  } else {
-    double graph_start = ElapsedSeconds();
-    CallGraph graph = CallGraph::Build(*module);
-    if (analysis != nullptr) {
-      analysis->callgraph_seconds += ElapsedSeconds() - graph_start;
-    }
-    ctx = ComputeInterprocContext(*module, graph, options.entry_points, analysis);
-    PointsTo points_to = PointsTo::Solve(*module, graph, options.entry_points, analysis);
-    EscapeResult escapes = ComputeEscapes(*module, graph, points_to, analysis);
-    ctx.protected_allocs = escapes.local_allocs;
+  // with the function.
+  double graph_start = ElapsedSeconds();
+  CallGraph graph = CallGraph::Build(*module);
+  if (analysis != nullptr) {
+    analysis->callgraph_seconds += ElapsedSeconds() - graph_start;
   }
-  if (options.capture != nullptr) {
-    *options.capture = ctx;  // before the loop renumbers allocation indices
-  }
+  InterprocContext ctx = ComputeInterprocContext(*module, graph, options.entry_points, analysis);
+  PointsTo points_to = PointsTo::Solve(*module, graph, options.entry_points, analysis);
+  EscapeResult escapes = ComputeEscapes(*module, graph, points_to, analysis);
+  ctx.protected_allocs = escapes.local_allocs;
 
   PruneStats stats;
   for (const auto& fn : module->functions()) {

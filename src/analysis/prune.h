@@ -66,17 +66,6 @@ struct PruneOptions {
   // never specialized to in-module call-site facts and their allocations may
   // escape to the caller. See EngineAnalysisRoots().
   std::vector<std::string> entry_points;
-  // Replay these whole-module facts instead of running the call-graph /
-  // summary / points-to / escape passes. Must have been computed (or
-  // round-tripped, src/store/summary_io.h) from a module with the same
-  // pre-prune fingerprint; the caller owns that key discipline. The context
-  // is copied internally — prune renumbers allocation indices in its working
-  // copy, never through this pointer.
-  const InterprocContext* precomputed = nullptr;
-  // Receives a copy of the whole-module facts exactly as the prune loop
-  // first consumed them (pre-renumbering), suitable for persisting and
-  // replaying via `precomputed`.
-  InterprocContext* capture = nullptr;
 };
 
 // Prunes one function in place using the intraprocedural domain alone. The
@@ -90,7 +79,7 @@ PruneStats PruneFunction(const Module& module, Function* fn, InterprocContext* i
                          AnalysisStats* analysis);
 
 // Builds the call graph, summaries, points-to, and escape facts for the
-// module (or replays `options.precomputed`), then prunes every function and
+// module, then prunes every function and
 // aggregates the stats. Analysis pass stats land in `analysis` when
 // non-null.
 PruneStats PruneModule(Module* module, const PruneOptions& options, AnalysisStats* analysis);

@@ -113,26 +113,21 @@ StoreBinding ResolveStore(const VerifyOptions& options) {
   binding.store = options.store != nullptr ? options.store : ArtifactStore::FromEnv();
   StoreMode mode = options.store_mode;
   // DNSV_STORE_FORCE wins over even an explicitly set option, matching
-  // DNSV_SOLVER_FORCE: CI flips whole suites into shadow/cold without
-  // touching every call site.
+  // DNSV_SOLVER_FORCE: CI flips whole suites into shadow without touching
+  // every call site.
   if (const char* force = std::getenv("DNSV_STORE_FORCE")) {
     std::string_view value(force);
     if (value == "off") {
       mode = StoreMode::kOff;
     } else if (value == "shadow") {
       mode = StoreMode::kShadow;
-    } else if (value == "cold") {
-      mode = StoreMode::kCold;
     } else if (value == "incremental" || value == "on") {
       mode = StoreMode::kIncremental;
     } else {
       DNSV_LOG(kError) << "DNSV_STORE_FORCE=\"" << value
-                       << "\" is not one of off|shadow|cold|incremental|on";
+                       << "\" is not one of off|shadow|incremental|on";
       std::abort();
     }
-  }
-  if (mode == StoreMode::kAuto) {
-    mode = binding.store != nullptr ? StoreMode::kIncremental : StoreMode::kOff;
   }
   if (binding.store == nullptr || mode == StoreMode::kOff) {
     return StoreBinding{};  // inactive: no store pointer, kOff
@@ -182,35 +177,7 @@ std::string ReportKey(const std::string& source_hash, const std::string& zone_ha
                 "|opt:", options_digest);
 }
 
-std::string FunctionMarkerKey(uint64_t cone_hash, const std::string& zone_hash,
-                              const std::string& options_digest) {
-  return StrCat("fnmark|", kStoreSchemaVersion, "|cone:", HexU64(cone_hash),
-                "|zone:", zone_hash, "|opt:", options_digest);
-}
-
-std::string LayerMarkerKey(uint64_t layer_cone_hash, const std::string& zone_hash,
-                           const std::string& options_digest) {
-  return StrCat("laymark|", kStoreSchemaVersion, "|cone:", HexU64(layer_cone_hash),
-                "|zone:", zone_hash, "|opt:", options_digest);
-}
-
-std::string InterprocKey(uint64_t module_fingerprint,
-                         const std::vector<std::string>& entry_points) {
-  uint64_t roots = kFnv1a64Seed;
-  for (const std::string& entry : entry_points) {
-    roots = Fnv1a64(entry, roots);
-    roots = Fnv1a64("\x1f", roots);
-  }
-  return StrCat("interproc|", kStoreSchemaVersion, "|mod:", HexU64(module_fingerprint),
-                "|roots:", HexU64(roots));
-}
-
-std::string PruneCheckKey(uint64_t module_fingerprint) {
-  return StrCat("prune|", kStoreSchemaVersion, "|mod:", HexU64(module_fingerprint));
-}
-
-std::string SerializeReport(const VerificationReport& report, int64_t functions_total,
-                            int64_t layers_total) {
+std::string SerializeReport(const VerificationReport& report) {
   ArtifactEncoder enc;
   enc.Tag("report");
   enc.Int(static_cast<int64_t>(report.version));
@@ -260,14 +227,10 @@ std::string SerializeReport(const VerificationReport& report, int64_t functions_
   }
   enc.Tag("solver");
   EncodeSolverStats(&enc, report.solver);
-  enc.Tag("totals");
-  enc.Int(functions_total);
-  enc.Int(layers_total);
   return enc.Take();
 }
 
-bool ParseReport(const std::string& payload, VerificationReport* report,
-                 int64_t* functions_total, int64_t* layers_total) {
+bool ParseReport(const std::string& payload, VerificationReport* report) {
   ArtifactDecoder dec(payload);
   VerificationReport out;
   dec.Tag("report");
@@ -341,15 +304,10 @@ bool ParseReport(const std::string& payload, VerificationReport* report,
   }
   dec.Tag("solver");
   DecodeSolverStats(&dec, &out.solver);
-  dec.Tag("totals");
-  int64_t fns = dec.Int();
-  int64_t layers = dec.Int();
   if (!dec.ok() || !dec.AtEnd()) {
     return false;
   }
   *report = std::move(out);
-  *functions_total = fns;
-  *layers_total = layers;
   return true;
 }
 

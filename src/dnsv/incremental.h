@@ -1,19 +1,15 @@
 // The pipeline's store-facing side: content keys, report serialization, and
 // the normalized digest that defines "byte-identical reports".
 //
-// Key discipline (docs/INCREMENTAL.md): every key spells out the schema
-// version plus hashes of everything the artifact's content depends on —
+// Key discipline (docs/INCREMENTAL.md): the report key spells out the
+// schema version plus hashes of everything the report's content depends on —
 //
 //   report     src-hash(version sources) + zone hash + options digest
-//   fnmark     function cone hash + zone hash + options digest
-//   laymark    layer cone hash + zone hash + options digest
-//   interproc  pre-prune ModuleFingerprint + analysis-roots hash
-//   prune      pre-prune ModuleFingerprint; payload holds the
-//              post-prune fingerprint, cross-checked on warm runs
 //
 // so a changed engine source, zone, option set, or serialization schema can
-// only ever miss. Replaying a hit is sound because the keyed inputs
-// determine the artifact's content byte for byte (the pipeline is
+// only ever miss. The solver verdicts a run flushes beside it live under the
+// `qcache` kind (src/store/qcache_io.h). Replaying a hit is sound because the
+// keyed inputs determine the report's content byte for byte (the pipeline is
 // deterministic by construction; tests/dnsv/incremental_test.cc and the
 // shadow mode enforce it).
 #ifndef DNSV_DNSV_INCREMENTAL_H_
@@ -21,10 +17,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/dnsv/verifier.h"
-#include "src/store/hash.h"
 #include "src/store/store.h"
 
 namespace dnsv {
@@ -33,14 +27,10 @@ class QueryCache;
 
 // Artifact kinds (subdirectories of the store root).
 inline constexpr char kReportArtifactKind[] = "report";
-inline constexpr char kFunctionMarkerKind[] = "fnmark";
-inline constexpr char kLayerMarkerKind[] = "laymark";
-inline constexpr char kInterprocArtifactKind[] = "interproc";
-inline constexpr char kPruneCheckKind[] = "prune";
 
 // Bump to invalidate every dnsv-owned artifact at once (serialization or
 // semantics changes that the content hashes cannot see).
-inline constexpr char kStoreSchemaVersion[] = "v3";
+inline constexpr char kStoreSchemaVersion[] = "v4";
 
 // The store + mode one pipeline run will use, after resolving defaults
 // (VerifyOptions.store vs DNSV_STORE_DIR) and the DNSV_STORE_FORCE override.
@@ -49,7 +39,7 @@ struct StoreBinding {
   StoreMode mode = StoreMode::kOff;
 
   bool active() const { return store != nullptr && mode != StoreMode::kOff; }
-  // Whether stored reports may be replayed (shadow/cold recompute instead).
+  // Whether stored reports may be replayed (shadow recomputes instead).
   bool read_allowed() const { return mode == StoreMode::kIncremental; }
 };
 
@@ -69,22 +59,12 @@ Result<std::string> CanonicalZoneHashHex(const ZoneConfig& zone);
 
 std::string ReportKey(const std::string& source_hash, const std::string& zone_hash,
                       const std::string& options_digest);
-std::string FunctionMarkerKey(uint64_t cone_hash, const std::string& zone_hash,
-                              const std::string& options_digest);
-std::string LayerMarkerKey(uint64_t layer_cone_hash, const std::string& zone_hash,
-                           const std::string& options_digest);
-std::string InterprocKey(uint64_t module_fingerprint,
-                         const std::vector<std::string>& entry_points);
-std::string PruneCheckKey(uint64_t module_fingerprint);
 
 // Full round-trip of a VerificationReport (issues, wire packets, stages,
-// solver counters, analysis stats) plus the dirty-set totals the replayed
-// IncrementalStats needs. Run-local fields (IncrementalStats itself) are not
-// serialized.
-std::string SerializeReport(const VerificationReport& report, int64_t functions_total,
-                            int64_t layers_total);
-bool ParseReport(const std::string& payload, VerificationReport* report,
-                 int64_t* functions_total, int64_t* layers_total);
+// solver counters, analysis stats). Run-local fields (IncrementalStats) are
+// not serialized.
+std::string SerializeReport(const VerificationReport& report);
+bool ParseReport(const std::string& payload, VerificationReport* report);
 
 // The canonical text two equivalent runs must agree on byte for byte:
 // verdict, issues (descriptions, counterexamples, classifications, wire

@@ -7,16 +7,14 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/analysis/callgraph.h"
 #include "src/dns/wire.h"
 #include "src/dnsv/incremental.h"
 #include "src/dnsv/layers.h"
 #include "src/ir/printer.h"
 #include "src/smt/interval_presolver.h"
 #include "src/smt/query_cache.h"
-#include "src/store/codec.h"
+#include "src/store/hash.h"
 #include "src/store/qcache_io.h"
-#include "src/store/summary_io.h"
 #include "src/sym/refine.h"
 #include "src/sym/specsub.h"
 #include "src/sym/summary.h"
@@ -33,9 +31,7 @@ size_t MaxOwnerLabels(const ZoneConfig& zone) {
   return max_labels;
 }
 
-std::string DecodeQname(const SymValue& qname, const Model& model, const TermArena& arena,
-                        const LabelInterner& interner) {
-  Value concrete = ConcretizeValue(qname, arena, &model);
+std::string DecodeQname(const Value& concrete, const LabelInterner& interner) {
   std::vector<std::string> labels;  // concrete is root-first
   for (auto it = concrete.elems.rbegin(); it != concrete.elems.rend(); ++it) {
     labels.push_back(interner.DecodeApprox(it->i));
@@ -284,17 +280,6 @@ ExploreResult Compact(const ExploreResult& worker) {
   return compact;
 }
 
-// Everything RunExploreWorker reads on the spec side: the cones of rrlookup
-// and of the manual-spec pair, the struct layouts the zone heap was lifted
-// against, the canonical zone, and the option digest.
-std::string SpecExplorationKey(const ModuleManifest& manifest, const CompiledEngine& engine,
-                               const LiftedZone& lifted, const std::string& options_digest) {
-  uint64_t cones =
-      CombineConeHashes(manifest, {engine.rrlookup_fn().name(), "nameEq", "nameEqSpec"});
-  return StrCat("cones:", HexU64(cones), "|types:", HexU64(TypeTableFingerprint(engine.types())),
-                "|opt:", options_digest, "|zone:", lifted.zone.ToText());
-}
-
 // ConfirmStage state: decodes counterexample models into concrete queries,
 // re-executes them on the interpreter, classifies (Table 2), and dedupes.
 class Confirmer {
@@ -317,11 +302,16 @@ class Confirmer {
   double seconds() const { return seconds_; }
 
   // Decodes + confirms + classifies `issue` against `model` (when present),
-  // then appends it unless it duplicates an already-reported behavior.
+  // then appends it unless it duplicates an already-reported behavior. Only
+  // an appended issue is replayed on the wire: a dropped one is never seen.
   void Add(VerificationIssue issue, const Model* model) {
     double start = ElapsedSeconds();
+    Value cq;
+    int64_t ct = 0;
     if (model != nullptr) {
-      Decode(&issue, *model);
+      cq = ConcretizeValue(qname_, arena_, model);
+      ct = ConcretizeValue(qtype_, arena_, model).i;
+      Classify(&issue, cq, ct);
     }
     // One issue per behavior classification: Table-2 granularity. Distinct
     // bugs of the same classification are surfaced by re-running after a fix,
@@ -329,17 +319,19 @@ class Confirmer {
     std::string key = StrCat(static_cast<int>(issue.kind), "|", issue.description, "|",
                              issue.classification);
     if (seen_.insert(key).second && !full()) {
+      if (model != nullptr) {
+        ReplayOnWire(&issue, cq, ct);
+      }
       report_->issues.push_back(std::move(issue));
     }
     seconds_ += ElapsedSeconds() - start;
   }
 
  private:
-  void Decode(VerificationIssue* issue, const Model& model) {
-    Value cq = ConcretizeValue(qname_, arena_, &model);
-    Value qtype_value = ConcretizeValue(qtype_, arena_, &model);
-    int64_t ct = qtype_value.i;
-    issue->qname = DecodeQname(qname_, model, arena_, lifted_.interner);
+  // Runs the decoded query (`cq`, `ct`) on the engine and the spec and
+  // classifies the difference in the Table-2 taxonomy.
+  void Classify(VerificationIssue* issue, const Value& cq, int64_t ct) {
+    issue->qname = DecodeQname(cq, lifted_.interner);
     issue->qtype = static_cast<RrType>(ct);
     ExecOutcome engine_run =
         interp_.Run(engine_.resolve_fn(),
@@ -374,7 +366,6 @@ class Confirmer {
       if (ev.additional != sv.additional) kinds.push_back("Wrong Additional");
     }
     issue->classification = JoinStrings(kinds, "/");
-    ReplayOnWire(issue, cq, ct);
   }
 
   // Closes the loop from SMT model to bytes on the wire: lowers the decoded
@@ -503,9 +494,7 @@ std::shared_ptr<const CompiledEngine> VerifyContext::GetEngine(EngineVersion ver
   return engine;
 }
 
-std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion version,
-                                                                   ArtifactStore* store,
-                                                                   bool replay_from_store) {
+std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion version) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pruned_engines_.find(version);
@@ -521,88 +510,10 @@ std::shared_ptr<const PrunedEngine> VerifyContext::GetPrunedEngine(EngineVersion
   double start = ElapsedSeconds();
   std::unique_ptr<CompiledEngine> fresh = CompiledEngine::Compile(version);
   pruned->compile_seconds = ElapsedSeconds() - start;
-
-  uint64_t pre_fingerprint = 0;
-  std::string interproc_key;
-  if (store != nullptr) {
-    pre_fingerprint = ModuleFingerprint(fresh->module());
-    interproc_key = InterprocKey(pre_fingerprint, EngineAnalysisRoots());
-  }
-
-  // Runs the prune over the current `fresh` module. With a store and
-  // `allow_replay`, the whole-module interprocedural passes are replaced by
-  // the stored facts (a pure function of the pre-prune module, so replay is
-  // sound whenever the fingerprint-addressed artifact parses); otherwise the
-  // computed facts are captured and persisted for the next process.
-  auto run_prune = [&](bool allow_replay) {
-    PruneOptions prune_options;
-    prune_options.entry_points = EngineAnalysisRoots();
-    InterprocContext replayed;
-    InterprocContext captured;
-    AnalysisStats restored;
-    bool from_store = false;
-    if (allow_replay && store != nullptr) {
-      if (std::optional<std::string> payload = store->Get(kInterprocArtifactKind, interproc_key)) {
-        if (ParseInterprocContext(*payload, &replayed, &restored)) {
-          prune_options.precomputed = &replayed;
-          from_store = true;
-        }
-      }
-    }
-    if (!from_store && store != nullptr) {
-      prune_options.capture = &captured;
-    }
-    pruned->analysis = AnalysisStats{};
-    pruned->stats = PruneModule(&fresh->mutable_module(), prune_options, &pruned->analysis);
-    if (from_store) {
-      // The replayed path skips the whole-module passes, so their outcome
-      // counters come from the artifact; SCCP folds re-ran during pruning and
-      // are already in pruned->analysis.
-      pruned->analysis += restored;
-    } else if (store != nullptr) {
-      store->Put(kInterprocArtifactKind, interproc_key,
-                 SerializeInterprocContext(captured, pruned->analysis));
-    }
-    pruned->summaries_from_store = from_store;
-  };
-
   start = ElapsedSeconds();
-  run_prune(replay_from_store);
-  if (store != nullptr) {
-    // Hash-stability cross-check: the post-prune fingerprint recorded by the
-    // first (cold) prune of this exact pre-prune module must be reproduced.
-    // A mismatch after a replayed prune means the stored facts steered the
-    // rewrite differently — distrust them and recompute from scratch. A
-    // mismatch on a cold prune can only be a stale record; overwrite it.
-    uint64_t post_fingerprint = ModuleFingerprint(fresh->module());
-    std::string prune_key = PruneCheckKey(pre_fingerprint);
-    bool matched = false;
-    bool have_record = false;
-    if (std::optional<std::string> payload = store->Get(kPruneCheckKind, prune_key)) {
-      ArtifactDecoder dec(*payload);
-      dec.Tag("prune-check");
-      uint64_t recorded = dec.U64();
-      if (dec.ok() && dec.AtEnd()) {
-        have_record = true;
-        matched = recorded == post_fingerprint;
-      }
-    }
-    if (have_record && !matched && pruned->summaries_from_store) {
-      fresh = CompiledEngine::Compile(version);
-      run_prune(/*allow_replay=*/false);
-      post_fingerprint = ModuleFingerprint(fresh->module());
-      matched = false;  // the record disagreed with a replay; rewrite it below
-      have_record = false;
-    }
-    if (have_record && matched) {
-      pruned->prune_fingerprint_checked = true;
-    } else {
-      ArtifactEncoder enc;
-      enc.Tag("prune-check");
-      enc.U64(post_fingerprint);
-      store->Put(kPruneCheckKind, prune_key, enc.Take());
-    }
-  }
+  PruneOptions prune_options;
+  prune_options.entry_points = EngineAnalysisRoots();
+  pruned->stats = PruneModule(&fresh->mutable_module(), prune_options, &pruned->analysis);
   pruned->prune_seconds = ElapsedSeconds() - start;
   fresh->Freeze();
   pruned->engine = std::shared_ptr<const CompiledEngine>(std::move(fresh));
@@ -679,6 +590,23 @@ std::shared_ptr<const ExploreResult> VerifyContext::AddSpecExploration(
   return it->second;
 }
 
+std::string VerifyContext::SpecEngineKey(const CompiledEngine& engine) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = spec_engine_keys_.find(&engine);
+    if (it != spec_engine_keys_.end()) {
+      return it->second;
+    }
+  }
+  // Hash outside the lock; a racing thread computes the same string.
+  uint64_t cones = CombineConeHashes(BuildModuleManifest(engine.module()),
+                                     {engine.rrlookup_fn().name(), "nameEq", "nameEqSpec"});
+  std::string key = StrCat("cones:", HexU64(cones),
+                           "|types:", HexU64(TypeTableFingerprint(engine.types())));
+  std::lock_guard<std::mutex> lock(mu_);
+  return spec_engine_keys_.emplace(&engine, std::move(key)).first->second;
+}
+
 VerifyContext::CacheStats VerifyContext::cache_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -701,17 +629,14 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
 
   double start = ElapsedSeconds();
 
-  // Content keys for this run. An invalid zone cannot be hashed; the store
+  // The report's content key. An invalid zone cannot be hashed; the store
   // is dropped and the lift stage reports the abort exactly as before.
-  std::string zone_hash;
-  std::string options_digest;
   std::string report_key;
   if (binding.active()) {
-    Result<std::string> hashed = CanonicalZoneHashHex(zone);
-    if (hashed.ok()) {
-      zone_hash = hashed.value();
-      options_digest = VerifyOptionsDigest(options);
-      report_key = ReportKey(EngineSourceHashHex(version), zone_hash, options_digest);
+    Result<std::string> zone_hash = CanonicalZoneHashHex(zone);
+    if (zone_hash.ok()) {
+      report_key = ReportKey(EngineSourceHashHex(version), zone_hash.value(),
+                             VerifyOptionsDigest(options));
     } else {
       binding = StoreBinding{};
     }
@@ -720,6 +645,9 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   VerificationReport report;
   report.version = version;
   report.incremental.store_enabled = binding.active();
+  if (binding.active()) {
+    report.incremental.layers_total = static_cast<int64_t>(EngineLayers(version).size());
+  }
 
   QueryCache* query_cache =
       options.solver.cache != nullptr ? options.solver.cache : QueryCache::Global();
@@ -736,16 +664,10 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
     if (std::optional<std::string> stored =
             binding.store->Get(kReportArtifactKind, report_key)) {
       VerificationReport replayed;
-      int64_t functions_total = 0;
-      int64_t layers_total = 0;
-      if (ParseReport(*stored, &replayed, &functions_total, &layers_total) &&
-          replayed.version == version) {
+      if (ParseReport(*stored, &replayed) && replayed.version == version) {
         replayed.incremental = report.incremental;
         replayed.incremental.replayed = true;
-        replayed.incremental.functions_total = functions_total;
-        replayed.incremental.functions_reused = functions_total;
-        replayed.incremental.layers_total = layers_total;
-        replayed.incremental.layers_reused = layers_total;
+        replayed.incremental.layers_reused = replayed.incremental.layers_total;
         replayed.total_seconds = ElapsedSeconds() - start;
         return replayed;
       }
@@ -756,11 +678,8 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   VerifyContext::CacheStats stats_before = context->cache_stats();
   std::shared_ptr<const CompiledEngine> engine;
   if (options.prune) {
-    std::shared_ptr<const PrunedEngine> pruned =
-        context->GetPrunedEngine(version, binding.store, binding.read_allowed());
+    std::shared_ptr<const PrunedEngine> pruned = context->GetPrunedEngine(version);
     engine = pruned->engine;
-    report.incremental.summaries_reused = pruned->summaries_from_store;
-    report.incremental.prune_fingerprint_checked = pruned->prune_fingerprint_checked;
     VerifyContext::CacheStats stats_mid = context->cache_stats();
     bool cached = stats_mid.prune_cache_hits > stats_before.prune_cache_hits;
     report.stages.push_back(MakeStage("compile", cached ? 0 : pruned->compile_seconds, cached));
@@ -794,61 +713,6 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   report.stages.push_back(MakeStage("lift", ElapsedSeconds() - lift_start,
                                     stats_after.zone_cache_hits > stats_mid.zone_cache_hits));
 
-  // --- DiffStage (store only): structural hashes -> dirty set ---
-  // Cone hashes over the module actually being explored, checked against the
-  // store's per-function / per-layer exploration markers for this
-  // (zone, options) pair. In incremental mode a marker hit means "this cone
-  // was fully explored by an earlier run under identical conditions"; cold
-  // and shadow modes treat everything as dirty by not reading. Markers for
-  // shared library layers are keyed purely by content, so a warm run of one
-  // version reuses the markers another version wrote. The spec cache below
-  // keys on the same manifest.
-  bool spec_needed = !options.safety_only;
-  bool spec_cacheable = spec_needed && binding.mode != StoreMode::kShadow;
-  std::vector<std::pair<std::string, uint64_t>> function_cones;
-  std::vector<std::pair<std::string, uint64_t>> layer_cones;
-  double diff_start = ElapsedSeconds();
-  ModuleManifest manifest;
-  if (binding.active() || spec_cacheable) {
-    manifest = BuildModuleManifest(engine->module());
-  }
-  if (binding.active()) {
-    CallGraph graph = CallGraph::Build(engine->module());
-    for (int node : graph.ReachableFrom(EngineAnalysisRoots())) {
-      const std::string& name = graph.function(node).name();
-      auto it = manifest.cone_hash.find(name);
-      if (it != manifest.cone_hash.end()) {
-        function_cones.emplace_back(name, it->second);
-      }
-    }
-    std::sort(function_cones.begin(), function_cones.end());
-    for (const LayerInfo& layer : EngineLayers(version)) {
-      layer_cones.emplace_back(layer.name, CombineConeHashes(manifest, layer.functions));
-    }
-    IncrementalStats& inc = report.incremental;
-    inc.functions_total = static_cast<int64_t>(function_cones.size());
-    inc.layers_total = static_cast<int64_t>(layer_cones.size());
-    for (const auto& [name, cone] : function_cones) {
-      if (binding.read_allowed() &&
-          binding.store->Contains(kFunctionMarkerKind,
-                                  FunctionMarkerKey(cone, zone_hash, options_digest))) {
-        ++inc.functions_reused;
-      } else {
-        inc.dirty_functions.push_back(name);
-      }
-    }
-    for (const auto& [name, cone] : layer_cones) {
-      if (binding.read_allowed() &&
-          binding.store->Contains(kLayerMarkerKind,
-                                  LayerMarkerKey(cone, zone_hash, options_digest))) {
-        ++inc.layers_reused;
-      } else {
-        inc.dirty_layers.push_back(name);
-      }
-    }
-    report.stages.push_back(MakeStage("diff", ElapsedSeconds() - diff_start));
-  }
-
   // --- ExploreStage: engine and spec workers, serial or concurrent ---
   // Workers are fully isolated (private TermArena + SolverSession + lifted
   // heap), so the parallel schedule produces byte-identical results. The
@@ -856,10 +720,13 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
   // same spec cone over the same zone and options (docs/INCREMENTAL.md);
   // store shadow mode bypasses that cache, so its report comparison pits a
   // report built with reuse against a fresh one.
+  bool spec_needed = !options.safety_only;
+  bool spec_cacheable = spec_needed && binding.mode != StoreMode::kShadow;
   std::string spec_key;
   std::shared_ptr<const ExploreResult> spec;
   if (spec_cacheable) {
-    spec_key = SpecExplorationKey(manifest, *engine, *lifted, VerifyOptionsDigest(options));
+    spec_key = StrCat(context->SpecEngineKey(*engine), "|opt:", VerifyOptionsDigest(options),
+                      "|zone:", lifted->zone.ToText());
     spec = context->FindSpecExploration(spec_key);
   }
   bool explore_spec = spec_needed && spec == nullptr;
@@ -1058,9 +925,7 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
       if (std::optional<std::string> stored =
               binding.store->Get(kReportArtifactKind, report_key)) {
         VerificationReport prior;
-        int64_t prior_functions = 0;
-        int64_t prior_layers = 0;
-        if (ParseReport(*stored, &prior, &prior_functions, &prior_layers)) {
+        if (ParseReport(*stored, &prior)) {
           DNSV_CHECK_MSG(NormalizedReportText(prior) == NormalizedReportText(report),
                          StrCat("artifact-store shadow mismatch: stored report for ",
                                 EngineVersionName(version),
@@ -1069,27 +934,7 @@ VerificationReport RunVerifyPipeline(VerifyContext* context, EngineVersion versi
         }
       }
     }
-    // Every marker is (re)written — reused ones too, so a hit refreshes the
-    // GC's LRU clock and an interrupted earlier run cannot leave holes.
-    for (const auto& [name, cone] : function_cones) {
-      ArtifactEncoder enc;
-      enc.Tag("fnmark");
-      enc.Str(name);
-      enc.U64(cone);
-      binding.store->Put(kFunctionMarkerKind,
-                         FunctionMarkerKey(cone, zone_hash, options_digest), enc.Take());
-    }
-    for (const auto& [name, cone] : layer_cones) {
-      ArtifactEncoder enc;
-      enc.Tag("laymark");
-      enc.Str(name);
-      enc.U64(cone);
-      binding.store->Put(kLayerMarkerKind,
-                         LayerMarkerKey(cone, zone_hash, options_digest), enc.Take());
-    }
-    binding.store->Put(kReportArtifactKind, report_key,
-                       SerializeReport(report, report.incremental.functions_total,
-                                       report.incremental.layers_total));
+    binding.store->Put(kReportArtifactKind, report_key, SerializeReport(report));
     if (options.solver.layering != SolverLayering::kDirect) {
       FlushQueryCache(binding.store, query_cache);
     }

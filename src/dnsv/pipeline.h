@@ -64,12 +64,6 @@ struct PrunedEngine {
   AnalysisStats analysis;
   double compile_seconds = 0;
   double prune_seconds = 0;
-  // Artifact-store provenance (docs/INCREMENTAL.md): whether the
-  // interprocedural facts were replayed from a stored artifact instead of
-  // recomputed, and whether the post-prune ModuleFingerprint matched the
-  // recorded cold prune (the hash-stability cross-check).
-  bool summaries_from_store = false;
-  bool prune_fingerprint_checked = false;
 };
 
 // Cross-run state of the pipeline: compiled engines per version, lifted
@@ -90,17 +84,7 @@ class VerifyContext {
   // PruneModule over it on first use (the interprocedural suite — SCCP +
   // summaries + escape facts — rooted at EngineAnalysisRoots), then serves
   // the cached result.
-  //
-  // With a `store`, the first computation persists the interprocedural facts
-  // keyed by the pre-prune ModuleFingerprint (and replays them when
-  // `replay_from_store`, skipping the whole-module passes), then cross-checks
-  // the post-prune fingerprint against the recorded cold prune; a mismatch
-  // discards the replay and recomputes from scratch. The in-memory cache key
-  // stays the version: the store only changes how the result is obtained,
-  // never what it is.
-  std::shared_ptr<const PrunedEngine> GetPrunedEngine(EngineVersion version,
-                                                      ArtifactStore* store = nullptr,
-                                                      bool replay_from_store = true);
+  std::shared_ptr<const PrunedEngine> GetPrunedEngine(EngineVersion version);
 
   // ZoneLiftStage: canonicalizes + materializes on first use. Errors
   // (invalid zones) are not cached. Unpruned and pruned lifts are cached
@@ -112,14 +96,19 @@ class VerifyContext {
 
   // ExploreStage, spec side: finished (not aborted) explorations of the
   // rrlookup specification, compacted, keyed by everything the spec worker
-  // reads — the cone hashes of rrlookup and of the manual-spec pair, the
-  // struct layouts, the canonical zone and the options digest. Versions
-  // whose spec cone is unchanged share one exploration per zone. Find
-  // returns null on a miss; Add keeps the first entry stored under `key`
-  // and returns the one the cache holds.
+  // reads — SpecEngineKey, the canonical zone and the options digest.
+  // Versions whose spec cone is unchanged share one exploration per zone.
+  // Find returns null on a miss; Add keeps the first entry stored under
+  // `key` and returns the one the cache holds.
   std::shared_ptr<const ExploreResult> FindSpecExploration(const std::string& key);
   std::shared_ptr<const ExploreResult> AddSpecExploration(
       const std::string& key, std::shared_ptr<const ExploreResult> exploration);
+
+  // The engine's share of a spec exploration key: the combined cone hash of
+  // rrlookup and the manual-spec pair, and the struct layouts the zone heap
+  // is lifted against. Hashed once per engine; `engine` must be one this
+  // context handed out (the context keeps it alive, so its address names it).
+  std::string SpecEngineKey(const CompiledEngine& engine);
 
   struct CacheStats {
     int64_t engine_compiles = 0;
@@ -139,6 +128,7 @@ class VerifyContext {
   std::map<EngineVersion, std::shared_ptr<const PrunedEngine>> pruned_engines_;
   std::map<std::string, std::shared_ptr<const LiftedZone>> zones_;
   std::map<std::string, std::shared_ptr<const ExploreResult>> spec_explorations_;
+  std::map<const CompiledEngine*, std::string> spec_engine_keys_;
   CacheStats stats_;
 };
 

@@ -58,22 +58,12 @@ std::string IncrementalStats::ToString() const {
     return "store off";
   }
   std::string out = replayed ? "replayed" : "recomputed";
-  out += StrCat(", functions ", functions_reused, "/", functions_total, " reused, layers ",
-                layers_reused, "/", layers_total, " reused");
+  out += StrCat(", layers ", layers_reused, "/", layers_total, " reused");
   if (qcache_entries_loaded > 0) {
     out += StrCat(", ", qcache_entries_loaded, " solver verdicts from disk");
   }
-  if (summaries_reused) {
-    out += ", interproc facts replayed";
-  }
-  if (prune_fingerprint_checked) {
-    out += ", prune fingerprint checked";
-  }
   if (shadow_checked) {
     out += ", shadow-checked against store";
-  }
-  if (!dirty_layers.empty()) {
-    out += StrCat(", dirty layers: ", JoinStrings(dirty_layers, " "));
   }
   return out;
 }

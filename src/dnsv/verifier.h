@@ -31,13 +31,12 @@ class ArtifactStore;  // src/store/store.h
 
 // How the pipeline uses the content-addressed artifact store
 // (docs/INCREMENTAL.md). The DNSV_STORE_FORCE environment variable
-// overrides the option at RunVerifyPipeline entry: off | shadow | cold.
+// overrides the option at RunVerifyPipeline entry: off | shadow |
+// incremental (alias on). Without a bound store every mode is inactive.
 enum class StoreMode : uint8_t {
-  kAuto,         // kIncremental when a store is bound, else kOff
-  kOff,          // ignore the store entirely
   kIncremental,  // replay stored reports on a key hit; write artifacts back
+  kOff,          // ignore the store entirely
   kShadow,       // recompute everything, assert byte-identity with the store
-  kCold,         // never read (rebuild), still write artifacts
 };
 
 struct VerifyOptions {
@@ -86,7 +85,7 @@ struct VerifyOptions {
   // solver layering is kDirect, the pipeline upgrades it to kCachePresolve —
   // persistence without the cache layer would have nothing to persist.
   ArtifactStore* store = nullptr;
-  StoreMode store_mode = StoreMode::kAuto;
+  StoreMode store_mode = StoreMode::kIncremental;
 };
 
 // Packet-level replay of a counterexample — the Confirm stage's last mile
@@ -148,30 +147,18 @@ struct StageStats {
   std::string ToString() const;
 };
 
-// What the artifact store contributed to one pipeline run: the dirty-set
-// diff (which functions/layers were already covered by stored markers under
-// this zone + options), whether the whole report was replayed, and the
-// cross-process query-cache transfer. All zero/false when no store is bound,
-// keeping stored-free reports byte-identical to the pre-store behavior.
+// What the artifact store contributed to one pipeline run: whether the
+// whole report was replayed or shadow-checked, and the cross-process
+// query-cache transfer. All zero/false when no store is bound, keeping
+// store-free reports byte-identical to the pre-store behavior.
 struct IncrementalStats {
   bool store_enabled = false;
   bool replayed = false;        // report served verbatim from the store
   bool shadow_checked = false;  // full re-run compared clean against the store
-  bool summaries_reused = false;  // interproc facts replayed, not recomputed
-  bool prune_fingerprint_checked = false;  // warm post-prune hash cross-checked
   int64_t qcache_entries_loaded = 0;  // solver verdicts imported from disk
-  int64_t functions_total = 0;   // reachable functions hashed for the diff
-  int64_t functions_reused = 0;  // cone hash had a stored exploration marker
-  int64_t layers_total = 0;      // Fig.-5 layers of this version
-  int64_t layers_reused = 0;     // layer cone hash had a stored marker
-  std::vector<std::string> dirty_functions;  // no marker: recomputed this run
-  std::vector<std::string> dirty_layers;
+  int64_t layers_total = 0;   // Fig.-5 layers of this version
+  int64_t layers_reused = 0;  // all of them when the report was replayed, else 0
 
-  double LayerReuseRate() const {
-    return layers_total == 0 ? 0.0
-                             : static_cast<double>(layers_reused) /
-                                   static_cast<double>(layers_total);
-  }
   std::string ToString() const;
 };
 

@@ -23,8 +23,8 @@ uint64_t ModuleFingerprint(const Module& module);
 // so the hash is self-contained: two functions hash equal iff their bodies,
 // signatures, and block structure print identically — even when they live in
 // different modules with differently-numbered type tables. This is the
-// structural identity the artifact store's dirty-set diffing is built on
-// (docs/INCREMENTAL.md).
+// structural identity the spec-exploration cache's cone hashes are built on
+// (src/store/hash.h, docs/INCREMENTAL.md).
 uint64_t FunctionFingerprint(const Module& module, const Function& function);
 
 // Content hash of the module's struct layouts: every defined struct, in name

@@ -80,11 +80,6 @@ bool QueryCache::MarkLoadedFrom(const std::string& store_root) {
   return true;
 }
 
-void QueryCache::SetBaseCounters(int64_t hits, int64_t misses) {
-  base_hits_.store(hits, std::memory_order_relaxed);
-  base_misses_.store(misses, std::memory_order_relaxed);
-}
-
 QueryCache::Stats QueryCache::stats() const {
   Stats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
@@ -98,8 +93,6 @@ QueryCache::Stats QueryCache::stats() const {
       if (entry.from_disk) ++stats.entries_from_disk;
     }
   }
-  stats.cumulative_hits = stats.hits + base_hits_.load(std::memory_order_relaxed);
-  stats.cumulative_misses = stats.misses + base_misses_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -116,8 +109,6 @@ void QueryCache::Clear() {
   misses_.store(0, std::memory_order_relaxed);
   disk_hits_.store(0, std::memory_order_relaxed);
   insertions_.store(0, std::memory_order_relaxed);
-  base_hits_.store(0, std::memory_order_relaxed);
-  base_misses_.store(0, std::memory_order_relaxed);
 }
 
 SolverConfig ApplySolverEnvOverride(SolverConfig base) {

@@ -16,11 +16,6 @@
 // session that needs a model after a cached kSat replays the query on its
 // own Z3 backend (see backend.h), keeping decoded counterexamples
 // byte-identical to an unlayered run. kUnknown verdicts are never cached.
-//
-// Statistics: the atomic hit/miss counters reset per process, which made
-// multi-run attribution impossible; SetBaseCounters installs the lifetime
-// totals persisted alongside the entries, and stats() reports both the
-// process-local and the cumulative view.
 #ifndef DNSV_SMT_QUERY_CACHE_H_
 #define DNSV_SMT_QUERY_CACHE_H_
 
@@ -63,11 +58,6 @@ class QueryCache {
   // unspecified; the store sorts before writing.
   std::vector<std::pair<std::string, SatResult>> Snapshot() const;
 
-  // Installs the lifetime hit/miss totals recorded by earlier processes
-  // (loaded from the store's meta artifact); stats() adds them into the
-  // cumulative view.
-  void SetBaseCounters(int64_t hits, int64_t misses);
-
   // Marks this cache as having loaded the persisted entries rooted at
   // `store_root`; returns false when that root was already loaded (so each
   // store is imported at most once per cache). Clear() forgets the marks.
@@ -80,9 +70,6 @@ class QueryCache {
     int64_t insertions = 0;
     int64_t entries = 0;
     int64_t entries_from_disk = 0;
-    // Lifetime view: base counters from previous processes plus this one.
-    int64_t cumulative_hits = 0;
-    int64_t cumulative_misses = 0;
   };
   Stats stats() const;
 
@@ -108,8 +95,6 @@ class QueryCache {
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> disk_hits_{0};
   std::atomic<int64_t> insertions_{0};
-  std::atomic<int64_t> base_hits_{0};
-  std::atomic<int64_t> base_misses_{0};
 };
 
 }  // namespace dnsv

@@ -10,7 +10,6 @@ namespace dnsv {
 
 ModuleManifest BuildModuleManifest(const Module& module) {
   ModuleManifest manifest;
-  manifest.module_fingerprint = ModuleFingerprint(module);
   CallGraph graph = CallGraph::Build(module);
   for (const auto& fn : module.functions()) {
     manifest.body_hash[fn->name()] = FunctionFingerprint(module, *fn);

@@ -1,4 +1,5 @@
-// Stable structural hashes over AbsIR, the foundation of the store's keys.
+// Stable structural hashes over AbsIR. VerifyContext keys its spec
+// exploration cache on them (src/dnsv/pipeline.h).
 //
 // Two hash granularities per function (docs/INCREMENTAL.md):
 //
@@ -15,8 +16,9 @@
 //   recursive SCC share the component's combined hash, salted with their own
 //   body hash.
 //
-// Layer hashes fold the cone hashes of a layer's member functions, so a
-// Fig.-5 layer is "reusable" exactly when nothing at or below it changed.
+// CombineConeHashes folds the cone hashes of a set of functions (a Fig.-5
+// layer, or the spec side's rrlookup + manual-spec pair), so the set hashes
+// equal exactly when nothing at or below any member changed.
 #ifndef DNSV_STORE_HASH_H_
 #define DNSV_STORE_HASH_H_
 
@@ -31,7 +33,6 @@
 namespace dnsv {
 
 struct ModuleManifest {
-  uint64_t module_fingerprint = 0;  // ModuleFingerprint of the whole module
   std::map<std::string, uint64_t> body_hash;  // per function
   std::map<std::string, uint64_t> cone_hash;  // per function, callees folded in
 };

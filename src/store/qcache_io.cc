@@ -18,7 +18,6 @@ constexpr char kKind[] = "qcache";
 constexpr char kSchema[] = "v1";
 
 std::string ShardKey(int shard) { return StrCat(kKind, "|", kSchema, "|shard", shard); }
-std::string MetaKey() { return StrCat(kKind, "|", kSchema, "|meta"); }
 
 int ShardOf(const std::string& canonical_key) {
   // Deliberately NOT the in-memory shard function (std::hash is
@@ -52,16 +51,6 @@ int64_t LoadQueryCache(ArtifactStore* store, QueryCache* cache) {
       if (cache->LoadPersisted(key, verdict)) ++loaded;
     }
   }
-  std::optional<std::string> meta = store->Get(kKind, MetaKey());
-  if (meta.has_value()) {
-    ArtifactDecoder dec(*meta);
-    dec.Tag("qcache-meta");
-    int64_t hits = dec.Int();
-    int64_t misses = dec.Int();
-    if (dec.ok() && dec.AtEnd() && hits >= 0 && misses >= 0) {
-      cache->SetBaseCounters(hits, misses);
-    }
-  }
   return loaded;
 }
 
@@ -88,12 +77,6 @@ int64_t FlushQueryCache(ArtifactStore* store, QueryCache* cache) {
       written += static_cast<int64_t>(shards[shard].size());
     }
   }
-  QueryCache::Stats stats = cache->stats();
-  ArtifactEncoder meta;
-  meta.Tag("qcache-meta");
-  meta.Int(stats.cumulative_hits);
-  meta.Int(stats.cumulative_misses);
-  store->Put(kKind, MetaKey(), meta.Take());
   return written;
 }
 

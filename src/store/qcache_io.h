@@ -7,11 +7,9 @@
 //
 // Entries are spread over a fixed number of shard artifacts (by FNV of the
 // canonical key, independent of the in-memory shard function) to keep files
-// small enough for cheap rewrite-on-flush. A meta artifact carries the
-// lifetime hit/miss counters so statistics survive process restarts (the
-// QueryCache::Global() counters alone reset per process). Flush writes a
-// union of disk and fresh entries when the cache was loaded first; verdict
-// conflicts cannot happen (all writers agree by soundness).
+// small enough for cheap rewrite-on-flush. Flush writes a union of disk and
+// fresh entries when the cache was loaded first; verdict conflicts cannot
+// happen (all writers agree by soundness).
 #ifndef DNSV_STORE_QCACHE_IO_H_
 #define DNSV_STORE_QCACHE_IO_H_
 
@@ -23,12 +21,12 @@ class ArtifactStore;
 class QueryCache;
 
 // Loads every persisted verdict into `cache` (insert-if-absent, marked as
-// disk-loaded) and installs the lifetime base counters. Returns the number
-// of entries loaded; corrupt shards are skipped (they simply load nothing).
+// disk-loaded). Returns the number of entries loaded; corrupt shards are
+// skipped (they simply load nothing).
 int64_t LoadQueryCache(ArtifactStore* store, QueryCache* cache);
 
 // Writes the cache's current entries (memory + previously loaded) back to
-// the store, plus the updated lifetime counters. Returns entries written.
+// the store. Returns entries written.
 int64_t FlushQueryCache(ArtifactStore* store, QueryCache* cache);
 
 }  // namespace dnsv

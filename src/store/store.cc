@@ -206,10 +206,6 @@ std::optional<std::string> ArtifactStore::Get(const std::string& kind, const std
   return std::nullopt;
 }
 
-bool ArtifactStore::Contains(const std::string& kind, const std::string& key) {
-  return Get(kind, key).has_value();
-}
-
 std::vector<ArtifactStore::Entry> ArtifactStore::List() {
   std::vector<Entry> entries;
   std::error_code ec;

@@ -1,13 +1,12 @@
 // Content-addressed on-disk artifact store (docs/INCREMENTAL.md).
 //
-// The verification stack treats every expensive result — a full
-// VerificationReport, interprocedural summary facts, the solver query cache,
-// per-function/per-layer exploration markers, AOT-generated code — as an
-// artifact addressed by a self-describing content key. Keys bake in a schema
-// version plus the structural hashes (src/store/hash.h) of everything the
-// artifact depends on, so a new engine version, a changed zone, changed
-// options, or a bumped serialization format all miss cleanly; nothing is
-// ever invalidated in place.
+// The store holds only results a later run reads back to skip work: full
+// VerificationReports (`report`), the solver query cache's verdicts
+// (`qcache`), and absir-codegen's generated code (`codegen`). Each is an
+// artifact addressed by a self-describing content key that bakes in a
+// schema version plus hashes of everything the artifact depends on, so a new
+// engine version, a changed zone, changed options, or a bumped serialization
+// format all miss cleanly; nothing is ever invalidated in place.
 //
 // Corruption policy: a Get that finds anything other than a byte-perfect
 // artifact — wrong magic, wrong format version, key mismatch, truncated or
@@ -53,9 +52,6 @@ class ArtifactStore {
   // `key` exists; anything else is a miss. A hit refreshes the file's mtime
   // (the GC's LRU clock).
   std::optional<std::string> Get(const std::string& kind, const std::string& key);
-
-  // Get without reading the payload into the caller: true iff Get would hit.
-  bool Contains(const std::string& kind, const std::string& key);
 
   struct Entry {
     std::string kind;

@@ -25,17 +25,20 @@ ModuleManifest ManifestOf(EngineVersion version) {
 TEST(HashTest, DeterministicAcrossCompiles) {
   ModuleManifest first = ManifestOf(EngineVersion::kGolden);
   ModuleManifest second = ManifestOf(EngineVersion::kGolden);
-  EXPECT_EQ(first.module_fingerprint, second.module_fingerprint);
   EXPECT_EQ(first.body_hash, second.body_hash);
   EXPECT_EQ(first.cone_hash, second.cone_hash);
 }
 
+// Every function's body hash is its printer fingerprint.
 TEST(HashTest, ManifestMatchesModuleFingerprint) {
   std::unique_ptr<CompiledEngine> engine = CompiledEngine::Compile(EngineVersion::kGolden);
   ModuleManifest manifest = BuildModuleManifest(engine->module());
-  EXPECT_EQ(manifest.module_fingerprint, ModuleFingerprint(engine->module()));
-  EXPECT_FALSE(manifest.body_hash.empty());
+  EXPECT_EQ(manifest.body_hash.size(), engine->module().functions().size());
   EXPECT_EQ(manifest.body_hash.size(), manifest.cone_hash.size());
+  for (const auto& fn : engine->module().functions()) {
+    EXPECT_EQ(manifest.body_hash.at(fn->name()), FunctionFingerprint(engine->module(), *fn))
+        << fn->name();
+  }
 }
 
 // Versions share their library layers: most functions must carry identical
@@ -43,7 +46,7 @@ TEST(HashTest, ManifestMatchesModuleFingerprint) {
 TEST(HashTest, BodyHashesSharedAcrossVersions) {
   ModuleManifest golden = ManifestOf(EngineVersion::kGolden);
   ModuleManifest dev = ManifestOf(EngineVersion::kDev);
-  EXPECT_NE(golden.module_fingerprint, dev.module_fingerprint);
+  EXPECT_NE(golden.cone_hash, dev.cone_hash);
 
   int shared = 0, differing = 0;
   for (const auto& [name, hash] : golden.body_hash) {

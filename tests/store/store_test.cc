@@ -43,13 +43,13 @@ TEST_F(StoreTest, PutGetRoundtrip) {
   std::optional<std::string> got = store.Get("report", "report|v1|abc");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, payload);
-  EXPECT_TRUE(store.Contains("report", "report|v1|abc"));
+  EXPECT_TRUE(store.Get("report", "report|v1|abc").has_value());
 }
 
 TEST_F(StoreTest, AbsentKeyIsAMiss) {
   ArtifactStore store(root_.string());
   EXPECT_FALSE(store.Get("report", "no-such-key").has_value());
-  EXPECT_FALSE(store.Contains("report", "no-such-key"));
+  EXPECT_FALSE(store.Get("qcache", "no-such-key").has_value());
   ArtifactStore::Counters counters = store.counters();
   EXPECT_EQ(counters.hits, 0);
   EXPECT_EQ(counters.misses, 2);
@@ -68,8 +68,8 @@ TEST_F(StoreTest, OverwriteReplacesPayload) {
 
 TEST_F(StoreTest, EmptyPayloadRoundtrips) {
   ArtifactStore store(root_.string());
-  ASSERT_TRUE(store.Put("fnmark", "fnmark|v1|x", ""));
-  std::optional<std::string> got = store.Get("fnmark", "fnmark|v1|x");
+  ASSERT_TRUE(store.Put("report", "report|v1|x", ""));
+  std::optional<std::string> got = store.Get("report", "report|v1|x");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "");
 }
@@ -135,7 +135,7 @@ TEST_F(StoreTest, GcEvictsLeastRecentlyUsedAndCorruptFirst) {
   // and "hot" must survive "old".
   ASSERT_TRUE(store.Get("report", "hot").has_value());
   store.GC(200);
-  EXPECT_TRUE(store.Contains("report", "hot"));
+  EXPECT_TRUE(store.Get("report", "hot").has_value());
   EXPECT_FALSE(fs::exists(damaged_path));
   EXPECT_LE(store.GetStats().total_bytes, 200);
 }
@@ -146,7 +146,7 @@ TEST_F(StoreTest, ClearRemovesEverything) {
   ASSERT_TRUE(store.Put("qcache", "b", "y"));
   EXPECT_EQ(store.Clear(), 2);
   EXPECT_EQ(store.GetStats().total_count, 0);
-  EXPECT_FALSE(store.Contains("report", "a"));
+  EXPECT_FALSE(store.Get("report", "a").has_value());
 }
 
 TEST_F(StoreTest, StatsGroupByKind) {

@@ -111,11 +111,11 @@ int RunSelftest() {
     SELFTEST_CHECK(RunGc(&store, 300) == 0);
     stats = store.GetStats();
     SELFTEST_CHECK(stats.total_bytes <= 300);
-    SELFTEST_CHECK(store.Contains("report", "report|v1|b"));
+    SELFTEST_CHECK(store.Get("report", "report|v1|b").has_value());
 
     SELFTEST_CHECK(RunClear(&store) == 0);
     SELFTEST_CHECK(store.GetStats().total_count == 0);
-    SELFTEST_CHECK(!store.Contains("report", "report|v1|b"));
+    SELFTEST_CHECK(!store.Get("report", "report|v1|b").has_value());
   }
   fs::remove_all(root);
   std::printf("dnsv-cache selftest OK\n");
