@@ -17,7 +17,8 @@
 // writes BENCH_incremental.json (one record per version per phase, with the
 // explore.engine / explore.spec / compare stage seconds) into the working
 // directory and prints the EXPERIMENTS.md table. --smoke restricts to
-// {golden, v2.0} for the CI quick pass.
+// {golden, v2.0} for the CI quick pass and writes no file, so it cannot
+// overwrite the full seven-version record.
 //
 // The zone is KitchenSinkZone: unlike the Fig.-11 zone (where the interval
 // pre-solver discharges 100% of queries), it actually reaches Z3, so the
@@ -232,16 +233,18 @@ int RunBench(bool smoke) {
                 static_cast<long long>(warm.z3_delta), warm.seconds);
   }
 
-  std::string json = "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    json += StrCat(i == 0 ? "" : ",\n", JsonRecord(rows[i]));
-  }
-  json += "\n]\n";
-  std::FILE* out = std::fopen("BENCH_incremental.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::printf("\nwrote BENCH_incremental.json\n");
+  if (!smoke) {
+    std::string json = "[\n";
+    for (size_t i = 0; i < rows.size(); ++i) {
+      json += StrCat(i == 0 ? "" : ",\n", JsonRecord(rows[i]));
+    }
+    json += "\n]\n";
+    std::FILE* out = std::fopen("BENCH_incremental.json", "w");
+    if (out != nullptr) {
+      std::fputs(json.c_str(), out);
+      std::fclose(out);
+      std::printf("\nwrote BENCH_incremental.json\n");
+    }
   }
 
   fs::remove_all(root);

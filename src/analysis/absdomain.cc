@@ -84,12 +84,32 @@ int RelReach(const AbsState& state, ValueId a, ValueId b) {
 
 }  // namespace
 
-ValueId ValueTable::Intern(std::string key, Def def) {
-  auto it = interned_.find(key);
-  if (it != interned_.end()) return it->second;
+size_t ValueTable::DefHash::operator()(ValueId id) const {
+  const Def& def = (*defs)[id];
+  uint64_t h = Fnv1a64(std::string_view(reinterpret_cast<const char*>(def.args.data()),
+                                        def.args.size() * sizeof(ValueId)));
+  h = Fnv1a64(def.text, h);
+  for (uint64_t word :
+       {static_cast<uint64_t>(def.kind), static_cast<uint64_t>(def.imm),
+        static_cast<uint64_t>(def.op), static_cast<uint64_t>(def.bin_op),
+        static_cast<uint64_t>(def.un_op), static_cast<uint64_t>(def.nonnull),
+        static_cast<uint64_t>(def.block), static_cast<uint64_t>(def.space)}) {
+    h = (h ^ word) * 0x100000001b3ULL;
+  }
+  return static_cast<size_t>(h);
+}
+
+// The candidate goes in at the next id and is taken back out when the table
+// already holds an equal definition, so ids are handed out in first-seen
+// order.
+ValueId ValueTable::Intern(Def def) {
   ValueId id = static_cast<ValueId>(defs_.size());
   defs_.push_back(std::move(def));
-  interned_.emplace(std::move(key), id);
+  auto [it, inserted] = interned_.insert(id);
+  if (!inserted) {
+    defs_.pop_back();
+    return *it;
+  }
   return id;
 }
 
@@ -97,43 +117,38 @@ ValueId ValueTable::IntConst(int64_t value) {
   Def def;
   def.kind = Def::Kind::kIntConst;
   def.imm = value;
-  return Intern(StrCat("i:", value), std::move(def));
+  return Intern(std::move(def));
 }
 
 ValueId ValueTable::BoolConst(bool value) {
   Def def;
   def.kind = Def::Kind::kBoolConst;
   def.imm = value ? 1 : 0;
-  return Intern(value ? "b:1" : "b:0", std::move(def));
+  return Intern(std::move(def));
 }
 
 ValueId ValueTable::Null() {
   Def def;
   def.kind = Def::Kind::kNull;
-  return Intern("null", std::move(def));
+  return Intern(std::move(def));
 }
 
 ValueId ValueTable::Param(uint32_t index) {
   Def def;
   def.kind = Def::Kind::kParam;
   def.imm = index;
-  return Intern(StrCat("p:", index), std::move(def));
+  return Intern(std::move(def));
 }
 
 ValueId ValueTable::Cell(uint32_t instr) {
   Def def;
   def.kind = Def::Kind::kCell;
   def.imm = instr;
-  return Intern(StrCat("c:", instr), std::move(def));
+  return Intern(std::move(def));
 }
 
 ValueId ValueTable::Pure(Opcode op, BinOp bin_op, UnOp un_op, std::vector<ValueId> args,
                          int64_t imm) {
-  std::string key = StrCat("u:", static_cast<int>(op), ":", static_cast<int>(bin_op), ":",
-                           static_cast<int>(un_op), ":", imm);
-  for (ValueId a : args) {
-    key += StrCat(",", a);
-  }
   Def def;
   def.kind = Def::Kind::kPure;
   def.op = op;
@@ -141,20 +156,16 @@ ValueId ValueTable::Pure(Opcode op, BinOp bin_op, UnOp un_op, std::vector<ValueI
   def.un_op = un_op;
   def.args = std::move(args);
   def.imm = imm;
-  return Intern(std::move(key), std::move(def));
+  return Intern(std::move(def));
 }
 
 ValueId ValueTable::PureCall(const std::string& callee, std::vector<ValueId> args) {
-  std::string key = StrCat("pc:", callee);
-  for (ValueId a : args) {
-    key += StrCat(",", a);
-  }
   Def def;
   def.kind = Def::Kind::kPure;
   def.op = Opcode::kCall;
   def.args = std::move(args);
   def.text = callee;
-  return Intern(std::move(key), std::move(def));
+  return Intern(std::move(def));
 }
 
 ValueId ValueTable::Fresh(uint32_t instr, bool nonnull) {
@@ -171,7 +182,9 @@ ValueId ValueTable::JoinValue(BlockId block, char space, uint64_t key) {
   Def def;
   def.kind = Def::Kind::kJoin;
   def.imm = static_cast<int64_t>(key);
-  return Intern(StrCat("j:", block, ":", space, ":", key), std::move(def));
+  def.block = block;
+  def.space = space;
+  return Intern(std::move(def));
 }
 
 bool PreflightAllocasDontEscape(const Function& fn) {

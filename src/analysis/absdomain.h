@@ -40,6 +40,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -61,9 +62,13 @@ using ValueId = uint32_t;
 // heap allocations) are *not* interned — each dynamic instance gets a new id,
 // so two executions of a call in a loop are never conflated. Join values are
 // interned per (block, kind, key): the loop-head "merge register" that keeps
-// states finite.
+// states finite. Interning hashes the Def itself, as TermArena does its nodes.
 class ValueTable {
  public:
+  ValueTable() = default;
+  ValueTable(const ValueTable&) = delete;  // the intern table points at defs_
+  ValueTable& operator=(const ValueTable&) = delete;
+
   struct Def {
     enum class Kind : uint8_t {
       kIntConst, kBoolConst, kNull, kParam, kCell, kPure, kFresh, kJoin,
@@ -77,6 +82,10 @@ class ValueTable {
     std::vector<ValueId> args;    // kPure operands
     bool nonnull = false;         // kFresh from newobject: address is non-nil
     std::string text;             // kPure kCall: callee name
+    BlockId block = 0;            // kJoin: the merge block
+    char space = 0;               // kJoin: which state component is merged
+
+    bool operator==(const Def&) const = default;
   };
 
   ValueId IntConst(int64_t value);
@@ -95,10 +104,20 @@ class ValueTable {
   size_t size() const { return defs_.size(); }
 
  private:
-  ValueId Intern(std::string key, Def def);
+  ValueId Intern(Def def);
+
+  // Hash and equality of the definitions behind two ids.
+  struct DefHash {
+    const std::vector<Def>* defs;
+    size_t operator()(ValueId id) const;
+  };
+  struct DefEq {
+    const std::vector<Def>* defs;
+    bool operator()(ValueId a, ValueId b) const { return (*defs)[a] == (*defs)[b]; }
+  };
 
   std::vector<Def> defs_;
-  std::map<std::string, ValueId> interned_;
+  std::unordered_set<ValueId, DefHash, DefEq> interned_{64, DefHash{&defs_}, DefEq{&defs_}};
 };
 
 // Per-value refinements; the default-constructed value is top.

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/dns/zone.h"
 #include "src/engine/sources/sources.h"
@@ -137,15 +138,26 @@ StoreBinding ResolveStore(const VerifyOptions& options) {
 }
 
 std::string EngineSourceHashHex(EngineVersion version) {
-  uint64_t hash = kFnv1a64Seed;
-  for (const auto& [name, text] : EngineSources(version)) {
-    // Unit separators keep ("ab","c") distinct from ("a","bc").
-    hash = Fnv1a64(name, hash);
-    hash = Fnv1a64("\x1f", hash);
-    hash = Fnv1a64(text, hash);
-    hash = Fnv1a64("\x1e", hash);
-  }
-  return HexU64(hash);
+  // The sources are compiled in, so each version's hash is fixed for the
+  // life of the process: hash them all once (a thread-safe static) instead
+  // of re-reading the whole engine on every warm replay.
+  static const std::vector<std::string> hashes = [] {
+    // Indexed by the enumerator, which numbers the versions densely from 0.
+    std::vector<std::string> out(AllEngineVersions().size());
+    for (EngineVersion v : AllEngineVersions()) {
+      uint64_t hash = kFnv1a64Seed;
+      for (const auto& [name, text] : EngineSources(v)) {
+        // Unit separators keep ("ab","c") distinct from ("a","bc").
+        hash = Fnv1a64(name, hash);
+        hash = Fnv1a64("\x1f", hash);
+        hash = Fnv1a64(text, hash);
+        hash = Fnv1a64("\x1e", hash);
+      }
+      out.at(static_cast<size_t>(v)) = HexU64(hash);
+    }
+    return out;
+  }();
+  return hashes.at(static_cast<size_t>(version));
 }
 
 std::string VerifyOptionsDigest(const VerifyOptions& options) {

@@ -11,12 +11,16 @@
 //     -> CachingBackend      (optional: process-wide canonical query cache)
 //     -> Z3Backend           (the real solver; timeout + retry-after-reset)
 //
-// Every layer forwards Push/Pop/Assert downward unconditionally — assertions
-// are cheap, checks are the expensive part — and may intercept Check /
-// CheckAssuming. GetModel on a layer that answered the last check itself
-// replays the query on the layer below, so models (and therefore decoded
-// counterexamples) always come from the session's own Z3 solver, byte-
-// identical to what an unlayered session would have produced.
+// Every layer forwards Push/Pop/Assert downward unconditionally and may
+// intercept Check / CheckAssuming. An assertion is not cheap in Z3 itself
+// (translation plus Z3_solver_assert), so Z3Backend is lazy: it only records
+// the frame stack until the first check reaches it, then builds its context,
+// replays the live frames and forwards eagerly from there on. A session the
+// upper layers fully answer never builds Z3 state. GetModel on a layer that
+// answered the last check itself replays the query on the layer below, so
+// models (and therefore decoded counterexamples) always come from the
+// session's own Z3 solver, byte-identical to what an unlayered session would
+// have produced.
 #ifndef DNSV_SMT_BACKEND_H_
 #define DNSV_SMT_BACKEND_H_
 

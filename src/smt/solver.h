@@ -7,6 +7,9 @@
 // default is the historical direct-to-Z3 behavior. The facade itself owns one
 // always-on optimization: a term already asserted on the current frame stack
 // is not re-asserted (hash-consing makes the check a set lookup on term ids).
+// A session is cheap until a check reaches Z3: the Z3 backend builds its
+// context only then (z3_backend.h), so a session the pre-solver and the
+// query cache fully answer never touches Z3.
 #ifndef DNSV_SMT_SOLVER_H_
 #define DNSV_SMT_SOLVER_H_
 

@@ -11,13 +11,19 @@
 namespace dnsv {
 namespace {
 
-// Shared by every Z3Backend instance on every thread; see TotalChecks().
+// Shared by every Z3Backend instance on every thread; see TotalChecks() and
+// TotalContexts().
 std::atomic<int64_t> g_total_z3_checks{0};
+std::atomic<int64_t> g_total_z3_contexts{0};
 
 }  // namespace
 
 int64_t Z3Backend::TotalChecks() {
   return g_total_z3_checks.load(std::memory_order_relaxed);
+}
+
+int64_t Z3Backend::TotalContexts() {
+  return g_total_z3_contexts.load(std::memory_order_relaxed);
 }
 
 struct Z3Backend::Impl {
@@ -115,9 +121,11 @@ struct Z3Backend::Impl {
     }
   }
 
-  // Fresh solver object in the same context, frame stack re-asserted. The
-  // translation cache survives (it is keyed on the context, not the solver).
-  void Reset(int timeout_ms) {
+  // Fresh solver object in the same context, frame stack re-asserted: the
+  // first solver of a lazily built backend, or the replacement for one that
+  // wedged on a timeout. The translation cache survives (it is keyed on the
+  // context, not the solver).
+  void Reset(int timeout_ms, const std::vector<std::vector<Term>>& frames) {
     solver = z3::solver(ctx);
     SetTimeout(timeout_ms);
     for (size_t i = 0; i < frames.size(); ++i) {
@@ -135,45 +143,56 @@ struct Z3Backend::Impl {
   z3::solver solver;
   std::unordered_map<uint32_t, size_t> cache;
   std::vector<z3::expr> exprs;
-  // The asserted terms, frame by frame (frames[0] is the base frame), kept
-  // for solver resets after a timeout.
-  std::vector<std::vector<Term>> frames = {{}};
 };
 
 Z3Backend::Z3Backend(TermArena* arena, int check_timeout_ms)
-    : impl_(std::make_unique<Impl>(arena)), check_timeout_ms_(check_timeout_ms) {
-  impl_->SetTimeout(check_timeout_ms_);
-}
+    : arena_(arena), check_timeout_ms_(check_timeout_ms) {}
 
 Z3Backend::~Z3Backend() = default;
 
+Z3Backend::Impl& Z3Backend::Materialize() {
+  if (impl_ == nullptr) {
+    impl_ = std::make_unique<Impl>(arena_);
+    g_total_z3_contexts.fetch_add(1, std::memory_order_relaxed);
+    impl_->Reset(check_timeout_ms_, frames_);
+  }
+  return *impl_;
+}
+
 void Z3Backend::Push() {
-  impl_->solver.push();
-  impl_->frames.emplace_back();
+  if (impl_ != nullptr) {
+    impl_->solver.push();
+  }
+  frames_.emplace_back();
 }
 
 void Z3Backend::Pop() {
-  impl_->solver.pop();
-  DNSV_CHECK(impl_->frames.size() > 1);
-  impl_->frames.pop_back();
+  DNSV_CHECK(frames_.size() > 1);
+  if (impl_ != nullptr) {
+    impl_->solver.pop();
+  }
+  frames_.pop_back();
 }
 
 void Z3Backend::Assert(Term condition) {
-  DNSV_CHECK(impl_->arena->sort(condition) == Sort::kBool);
-  impl_->solver.add(impl_->Translate(condition));
-  impl_->frames.back().push_back(condition);
+  DNSV_CHECK(arena_->sort(condition) == Sort::kBool);
+  if (impl_ != nullptr) {
+    impl_->solver.add(impl_->Translate(condition));
+  }
+  frames_.back().push_back(condition);
 }
 
 SatResult Z3Backend::RunCheck(Term assumption) {
+  Impl& impl = Materialize();
   auto run_once = [&]() -> z3::check_result {
     auto start = std::chrono::steady_clock::now();
     z3::check_result r;
     if (assumption.valid()) {
-      z3::expr_vector assumptions(impl_->ctx);
-      assumptions.push_back(impl_->Translate(assumption));
-      r = impl_->solver.check(assumptions);
+      z3::expr_vector assumptions(impl.ctx);
+      assumptions.push_back(impl.Translate(assumption));
+      r = impl.solver.check(assumptions);
     } else {
-      r = impl_->solver.check();
+      r = impl.solver.check();
     }
     solve_seconds_ +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -186,9 +205,9 @@ SatResult Z3Backend::RunCheck(Term assumption) {
     // Escalation: reset the solver (same context, frames re-asserted) and
     // retry once with double the budget.
     ++timeout_retries_;
-    impl_->Reset(check_timeout_ms_ * 2);
+    impl.Reset(check_timeout_ms_ * 2, frames_);
     r = run_once();
-    impl_->SetTimeout(check_timeout_ms_);
+    impl.SetTimeout(check_timeout_ms_);
   }
   switch (r) {
     case z3::sat:
@@ -207,7 +226,7 @@ SatResult Z3Backend::CheckAssuming(Term assumption) { return RunCheck(assumption
 
 Model Z3Backend::GetModel() {
   Model model;
-  z3::model m = impl_->solver.get_model();
+  z3::model m = Materialize().solver.get_model();
   for (unsigned i = 0; i < m.num_consts(); ++i) {
     z3::func_decl decl = m.get_const_decl(i);
     z3::expr value = m.get_const_interp(decl);

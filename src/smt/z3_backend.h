@@ -3,10 +3,18 @@
 // behind the SolverBackend interface so caching and pre-solving layers can
 // stack in front of it. Translation from Term to Z3 ASTs is memoized per
 // backend (the z3::context outlives solver resets).
+//
+// The backend is lazy. Until the first check (or GetModel) reaches it,
+// Push/Pop/Assert only record the frame stack; no z3::context exists yet.
+// The first check builds the context and solver and replays the live frames
+// — popped frames are gone, so they never reach Z3 — and from then on every
+// call is forwarded eagerly. A session whose checks the pre-solver and the
+// query cache all answer never builds Z3 state at all.
 #ifndef DNSV_SMT_Z3_BACKEND_H_
 #define DNSV_SMT_Z3_BACKEND_H_
 
 #include <memory>
+#include <vector>
 
 #include "src/smt/backend.h"
 
@@ -41,13 +49,24 @@ class Z3Backend : public SolverBackend {
   // gates assert against ("warm re-run performed zero new Z3 checks"): this
   // counter cannot be fooled by per-session accounting.
   static int64_t TotalChecks();
+  // Process-wide count of z3::contexts built, i.e. of backends that reached
+  // Z3 at all.
+  static int64_t TotalContexts();
 
  private:
+  struct Impl;  // hides z3++.h from the rest of the codebase
+
   // `assumption` may be invalid (plain Check).
   SatResult RunCheck(Term assumption);
+  // Builds the Z3 state on first use, replaying the live frames into it.
+  Impl& Materialize();
 
-  struct Impl;  // hides z3++.h from the rest of the codebase
-  std::unique_ptr<Impl> impl_;
+  TermArena* arena_;
+  std::unique_ptr<Impl> impl_;  // null until the first check or GetModel
+  // The asserted terms, frame by frame (frames_[0] is the base frame): the
+  // session's whole solver state before Z3 is built, and afterwards what a
+  // solver reset after a timeout re-asserts.
+  std::vector<std::vector<Term>> frames_ = {{}};
   int check_timeout_ms_ = 0;
   int64_t num_checks_ = 0;
   double solve_seconds_ = 0;

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,9 @@
 
 #include "src/dns/example_zones.h"
 #include "src/dnsv/pipeline.h"
+#include "src/engine/sources/sources.h"
 #include "src/smt/query_cache.h"
+#include "src/support/strings.h"
 
 namespace dnsv {
 namespace {
@@ -244,6 +247,21 @@ TEST_F(IncrementalTest, KeysSpellOutTheirInputs) {
   // invalidates everything at once.
   EXPECT_NE(EngineSourceHashHex(EngineVersion::kGolden),
             EngineSourceHashHex(EngineVersion::kDev));
+  // The memoized hash of every version equals a direct hash over its
+  // sources, and no two versions share one.
+  std::set<std::string> source_hashes;
+  for (EngineVersion version : AllEngineVersions()) {
+    uint64_t direct = kFnv1a64Seed;
+    for (const auto& [name, text] : EngineSources(version)) {
+      direct = Fnv1a64(name, direct);
+      direct = Fnv1a64("\x1f", direct);
+      direct = Fnv1a64(text, direct);
+      direct = Fnv1a64("\x1e", direct);
+    }
+    EXPECT_EQ(EngineSourceHashHex(version), HexU64(direct)) << EngineVersionName(version);
+    source_hashes.insert(EngineSourceHashHex(version));
+  }
+  EXPECT_EQ(source_hashes.size(), 7u);
   VerifyOptions a, b;
   b.safety_only = true;
   EXPECT_NE(VerifyOptionsDigest(a), VerifyOptionsDigest(b));

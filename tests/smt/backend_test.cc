@@ -406,6 +406,147 @@ TEST(SolverFacade, ShadowValidationAgreesOnLayeredVerdicts) {
   EXPECT_EQ(stats.shadow_mismatches, 0);
 }
 
+// --- Lazy Z3 state ----------------------------------------------------------
+
+SolverConfig CachePresolve(QueryCache* cache) {
+  SolverConfig config;
+  config.layering = SolverLayering::kCachePresolve;
+  config.cache = cache;
+  return config;
+}
+
+TEST(LazyZ3Backend, AssertsWithoutACheckBuildNoContext) {
+  TermArena arena;
+  const int64_t contexts_before = Z3Backend::TotalContexts();
+  {
+    Z3Backend z3(&arena);
+    Term x = arena.Var("x", Sort::kInt);
+    z3.Assert(arena.Le(arena.IntConst(0), x));
+    z3.Push();
+    z3.Assert(arena.Lt(x, arena.IntConst(3)));
+    z3.Pop();
+  }
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before);
+}
+
+TEST(LazyZ3Backend, SessionDecidedByPresolverAndCacheBuildsNoContext) {
+  QueryCache cache;
+  // Fills the cache with a query outside the pre-solver's fragment; that
+  // first session has to reach Z3.
+  auto div_session = [&cache](bool check_bounds) {
+    TermArena arena;
+    SolverSession solver(&arena, CachePresolve(&cache));
+    Term x = arena.Var("x", Sort::kInt);
+    Term y = arena.Var("y", Sort::kInt);
+    solver.Assert(arena.Le(arena.IntConst(0), x));
+    if (check_bounds) {
+      solver.Push();
+      solver.Assert(arena.Lt(x, arena.IntConst(10)));
+      EXPECT_EQ(solver.CheckAssuming(arena.Lt(arena.IntConst(20), x)), SatResult::kUnsat);
+      EXPECT_EQ(solver.Check(), SatResult::kSat);
+      solver.Pop();
+    }
+    Term div_query = arena.Eq(arena.Div(y, arena.IntConst(2)), arena.IntConst(3));
+    EXPECT_EQ(solver.CheckAssuming(div_query), SatResult::kSat);
+    return solver.stats();
+  };
+  int64_t contexts_before = Z3Backend::TotalContexts();
+  EXPECT_EQ(div_session(false).z3_checks, 1);
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before + 1);
+
+  contexts_before = Z3Backend::TotalContexts();
+  SolverStats decided = div_session(true);
+  EXPECT_EQ(decided.queries, 3);
+  EXPECT_EQ(decided.presolver_discharges, 2);
+  EXPECT_EQ(decided.cache_hits, 1);
+  EXPECT_EQ(decided.z3_checks, 0);
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before);
+}
+
+TEST(LazyZ3Backend, GetModelAfterPresolvedSatBuildsOneContext) {
+  TermArena arena;
+  QueryCache cache;
+  SolverSession solver(&arena, CachePresolve(&cache));
+  Term x = arena.Var("x", Sort::kInt);
+  solver.Assert(arena.Le(arena.IntConst(4), x));
+  const int64_t contexts_before = Z3Backend::TotalContexts();
+  ASSERT_EQ(solver.CheckAssuming(arena.Lt(x, arena.IntConst(6))), SatResult::kSat);
+  EXPECT_EQ(solver.stats().presolver_discharges, 1);
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before);
+  Model model = solver.GetModel();
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before + 1);
+  int64_t value = 0;
+  ASSERT_TRUE(model.Get("x", &value));
+  EXPECT_TRUE(value == 4 || value == 5) << value;
+  // The built context serves the rest of the session.
+  ASSERT_EQ(solver.CheckAssuming(arena.Eq(x, arena.IntConst(9))), SatResult::kSat);
+  model = solver.GetModel();
+  ASSERT_TRUE(model.Get("x", &value));
+  EXPECT_EQ(value, 9);
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before + 1);
+}
+
+TEST(LazyZ3Backend, ReplaysOnlyTheLiveFrames) {
+  TermArena arena;
+  Z3Backend z3(&arena);
+  Term x = arena.Var("x", Sort::kInt);
+  z3.Assert(arena.Le(arena.IntConst(0), x));
+  z3.Push();
+  z3.Assert(arena.Lt(x, arena.IntConst(3)));  // popped before Z3 exists
+  z3.Pop();
+  z3.Push();
+  z3.Assert(arena.Lt(x, arena.IntConst(100)));
+  const int64_t contexts_before = Z3Backend::TotalContexts();
+  ASSERT_EQ(z3.CheckAssuming(arena.Eq(x, arena.IntConst(50))), SatResult::kSat);
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before + 1);
+  int64_t value = 0;
+  ASSERT_TRUE(z3.GetModel().Get("x", &value));
+  EXPECT_EQ(value, 50);
+  // The replayed base frame still holds.
+  EXPECT_EQ(z3.CheckAssuming(arena.Lt(x, arena.IntConst(0))), SatResult::kUnsat);
+  EXPECT_EQ(z3.num_checks(), 2);
+}
+
+TEST(LazyZ3Backend, PushAndPopStayCorrectAfterMaterializing) {
+  TermArena arena;
+  Z3Backend z3(&arena);
+  Term x = arena.Var("x", Sort::kInt);
+  z3.Push();
+  z3.Assert(arena.Lt(x, arena.IntConst(100)));
+  ASSERT_EQ(z3.Check(), SatResult::kSat);  // builds Z3 with one pushed frame
+  // Popping the replayed frame lifts its bound.
+  z3.Pop();
+  ASSERT_EQ(z3.CheckAssuming(arena.Eq(x, arena.IntConst(200))), SatResult::kSat);
+  int64_t value = 0;
+  ASSERT_TRUE(z3.GetModel().Get("x", &value));
+  EXPECT_EQ(value, 200);
+  // A frame pushed after materializing is forwarded and popped eagerly.
+  z3.Push();
+  z3.Assert(arena.Lt(x, arena.IntConst(0)));
+  z3.Assert(arena.Lt(arena.IntConst(10), x));
+  EXPECT_EQ(z3.Check(), SatResult::kUnsat);
+  z3.Pop();
+  EXPECT_EQ(z3.Check(), SatResult::kSat);
+}
+
+TEST(LazyZ3Backend, ShadowModeStillReachesZ3) {
+  TermArena arena;
+  QueryCache cache;
+  SolverConfig config = CachePresolve(&cache);
+  config.shadow_validate = true;
+  config.shadow_fatal = true;
+  SolverSession solver(&arena, config);
+  Term x = arena.Var("x", Sort::kInt);
+  solver.Assert(arena.Le(arena.IntConst(0), x));
+  const int64_t contexts_before = Z3Backend::TotalContexts();
+  EXPECT_EQ(solver.CheckAssuming(arena.Lt(x, arena.IntConst(10))), SatResult::kSat);
+  SolverStats stats = solver.stats();
+  EXPECT_EQ(stats.presolver_discharges, 1);
+  EXPECT_EQ(stats.shadow_checks, 1);
+  EXPECT_EQ(stats.z3_checks, 1);
+  EXPECT_EQ(Z3Backend::TotalContexts(), contexts_before + 1);
+}
+
 TEST(SolverFacade, EnvOverrideParses) {
   SolverConfig base;
   ASSERT_EQ(setenv("DNSV_SOLVER_FORCE", "shadow", 1), 0);
